@@ -49,6 +49,8 @@ def load_source(source: str) -> tuple[Graph, Optional[FamilySpec], str]:
     if not os.path.exists(source):
         raise UsageError(f"cannot interpret {source!r}: not a family spec and no such file")
     graphs = load_graph6_file(source)
+    if len(graphs) != 1:
+        raise UsageError(f"{source} holds {len(graphs)} graphs; give a file with exactly one")
     return graphs[0], None, source
 
 

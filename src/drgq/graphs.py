@@ -3,8 +3,8 @@
 Graphs are simple and undirected, with vertices 0..n-1 and adjacency kept
 as sorted neighbor tuples (dense matrices are derived on demand).  All-pairs
 distances come from per-source BFS and are stored one byte per entry, which
-is enough for the diameters handled here and keeps the largest catalogue
-members cheap to hold in memory.
+keeps the largest catalogue members cheap to hold in memory; a graph of
+diameter above 255 is refused rather than wrapped.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, MathAssertionError
 
 ISO_VERTEX_CAP = 64
+MAX_DISTANCE = 255  # distances are stored one byte per entry
 
 
 @dataclass
@@ -129,7 +130,11 @@ class DistanceData:
 
 
 def distance_data(g: Graph) -> DistanceData:
-    """All-pairs BFS.  Raises DisconnectedGraphError naming an unreachable pair."""
+    """All-pairs BFS.
+
+    Raises DisconnectedGraphError naming an unreachable pair, and ValueError
+    as soon as some distance exceeds MAX_DISTANCE, the largest one byte holds.
+    """
     n = g.n
     dist = np.zeros((n, n), dtype=np.uint8)
     for src in range(n):
@@ -137,7 +142,11 @@ def distance_data(g: Graph) -> DistanceData:
         unreachable = np.nonzero(row < 0)[0]
         if unreachable.size:
             raise DisconnectedGraphError(src, int(unreachable[0]))
-        dist[src] = row.astype(np.uint8)
+        ecc = int(row.max())
+        if ecc > MAX_DISTANCE:
+            raise ValueError(f"diameter is at least {ecc} (vertex {src} has eccentricity {ecc}); "
+                             f"distances above {MAX_DISTANCE} are not supported")
+        dist[src] = row
     diameter = int(dist.max())
     mats = [(dist == h).astype(np.uint8) for h in range(diameter + 1)]
     return DistanceData(dist, diameter, mats)
@@ -361,6 +370,8 @@ def are_isomorphic(g: Graph, h: Graph, cap: int = ISO_VERTEX_CAP
         return False
 
     if extend(0):
-        assert _verify_mapping(g, h, perm)
+        if not _verify_mapping(g, h, perm):
+            raise MathAssertionError(f"isomorphism search returned {perm}, which is not an "
+                                     f"isomorphism")
         return True, list(perm)
     return False, None

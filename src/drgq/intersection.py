@@ -14,6 +14,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import MathAssertionError
 from .graphs import DistanceData, Graph, two_coloring
 
 
@@ -89,7 +90,7 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
     amats = [m.astype(np.float64) for m in dd.distance_matrices]
 
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    violations: list[tuple[int, int, int]] = []
+    first = None  # the smallest violating (h, i, j), i <= j, and its counts on class h
     for i in range(d + 1):
         for j in range(i, d + 1):
             counts = amats[i] @ amats[j]  # entry (x,y) = |distance-i ball around x hit by distance-j around y|
@@ -98,31 +99,26 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
                 if vals.size == 0:
                     continue
                 lo, hi = vals.min(), vals.max()
-                if lo != hi:
-                    violations.append((h, i, j))
-                    violations.append((h, j, i))
-                else:
+                if lo == hi:
                     p[h, i, j] = p[h, j, i] = int(lo)
+                elif first is None or (h, i, j) < first[0]:
+                    first = ((h, i, j), vals)
 
-    if violations:
-        h, i, j = min(violations)
-        counts = amats[i] @ amats[j]
-        pairs = np.argwhere(masks[h])  # row-major order = lexicographic pairs
-        x0, y0 = map(int, pairs[0])
-        ref = int(counts[x0, y0])
-        vals = counts[pairs[:, 0], pairs[:, 1]]
-        kdiff = int(np.nonzero(vals != ref)[0][0])
-        x1, y1 = map(int, pairs[kdiff])
-        return NotDRG(h, i, j, (x0, y0), ref, (x1, y1), int(counts[x1, y1]))
+    if first is not None:
+        (h, i, j), vals = first
+        pairs = np.argwhere(masks[h])  # row-major order = lexicographic pairs = order of vals
+        kdiff = int(np.nonzero(vals != vals[0])[0][0])
+        (x0, y0), (x1, y1) = pairs[[0, kdiff]].tolist()
+        return NotDRG(h, i, j, (x0, y0), int(vals[0]), (x1, y1), int(vals[kdiff]))
 
     k = int(p[0, 1, 1])
     sphere_sizes = tuple(int(p[0, i, i]) for i in range(d + 1))
     b = tuple(int(p[i, 1, i + 1]) for i in range(d))
     c = tuple(int(p[i, 1, i - 1]) for i in range(1, d + 1))
     # a connected graph of diameter d that passed the constancy check cannot
-    # have a stalled distance partition, but assert it anyway
+    # have a stalled distance partition, but check it anyway
     if any(x <= 0 for x in b) or any(x <= 0 for x in c):
-        raise AssertionError(f"degenerate intersection array b={b} c={c}")
+        raise MathAssertionError(f"degenerate intersection array b={b} c={c}")
     return IntersectionData(d, k, n, p, b, c, sphere_sizes)
 
 

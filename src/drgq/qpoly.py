@@ -13,9 +13,13 @@ another:
   orderings whose q^1 slice is irreducible tridiagonal.
 
 The sweep checks the identity entrywise over all coordinates, which is
-strictly stronger than inner-product probes and no more expensive here.
-Residuals are normalized by max(lhs, rhs, 1/n) so verdicts do not depend on
-the global 1/n scaling of the idempotents.
+strictly stronger than inner-product probes.  One kernel serves both modes:
+a batch of instances of one (i, j) cell becomes a signed mask matrix M, so
+M @ E stacks their left-hand sides in one BLAS call.  Residuals are
+normalized by max(lhs, rhs, 1/n) so verdicts do not depend on the global
+1/n scaling of the idempotents.  Full mode visits instances in witness
+order and stops at the first failure, so on a negative verdict its
+worst_residual and instances cover the instances up to the witness only.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 FULL_MODE_LIMIT = 200       # acceptance default: full sweep up to this many vertices
 SAMPLE_INSTANCES = 10_000
+BATCH_ENTRIES = 1 << 16     # instances x n mask entries per kernel call
 
 Witness = tuple[int, int, int, int, int, float]  # (h, i, j, x, y, residual)
 
@@ -60,53 +65,73 @@ def resolve_mode(n: int, mode: str) -> str:
 
 def _coefficients(ia: IntersectionData, dual: np.ndarray) -> np.ndarray:
     """coeff[h, i, j] = p^h_ij (dual_i - dual_j) / (dual_0 - dual_h), h >= 1."""
-    d = ia.d
-    coeff = np.zeros((d + 1, d + 1, d + 1))
+    coeff = np.zeros(ia.p.shape)
     diff = dual[:, None] - dual[None, :]
-    for h in range(1, d + 1):
-        coeff[h] = ia.p[h] * diff / (dual[0] - dual[h])
+    coeff[1:] = ia.p[1:] * diff / (dual[0] - dual[1:])[:, None, None]
     return coeff
 
 
-def _sweep_slice(xs, e_mat, dist, amats, coeff, ij_pairs, rel_tol, n):
-    """Full entrywise check of every instance with x in ``xs``; all y at once."""
-    worst = 0.0
-    witness: Optional[Witness] = None
-    inv_n = 1.0 / n
-    for x in xs:
-        dx = dist[x]
-        ex = e_mat[:, x]
-        for i, j in ij_pairs:
-            mask_i = (dx == i).astype(np.float64)
-            mask_j = (dx == j).astype(np.float64)
-            lhs = (e_mat * mask_i) @ amats[j] - (e_mat * mask_j) @ amats[i]
-            cvec = coeff[dx, i, j]
-            rhs = (ex[:, None] - e_mat) * cvec
-            res = np.abs(lhs - rhs).max(axis=0)
-            scale = np.maximum(np.abs(lhs).max(axis=0), np.abs(rhs).max(axis=0))
-            np.maximum(scale, inv_n, out=scale)
-            rel = res / scale
-            rel[x] = 0.0  # the h = 0 slot is not an instance
-            w = float(rel.max())
-            if w > worst:
-                worst = w
-            if w > rel_tol:
-                for y in np.nonzero(rel > rel_tol)[0]:
-                    cand = (int(dx[y]), i, j, x, int(y), float(rel[y]))
+def _residuals(xs, ys, i, j, e_mat, dist, coeff, work):
+    """Relative residuals of the instances (xs[t], ys[t]) of cell (i, j), as one batch.
+
+    Row t of M is the signed indicator of instance t's two mixed distance sets
+    (E is symmetric).  ``work`` holds three reused buffers for the t x n arrays.
+    """
+    t, n = len(xs), dist.shape[0]
+    m, lhs, rhs = (w[:t * n].reshape(t, n) for w in work)
+    dx, dy = dist[xs], dist[ys]
+    np.subtract((dx == i) & (dy == j), (dx == j) & (dy == i), out=m, dtype=np.float64)
+    np.matmul(m, e_mat, out=lhs)
+    np.take(e_mat, xs, axis=0, out=rhs)
+    rhs -= np.take(e_mat, ys, axis=0, out=m)
+    rhs *= coeff[dist[xs, ys], i, j][:, None]
+    scale = np.maximum(np.abs(lhs, out=m).max(axis=1), np.abs(rhs, out=m).max(axis=1))
+    np.maximum(scale, 1.0 / n, out=scale)
+    return np.abs(np.subtract(lhs, rhs, out=m), out=m).max(axis=1) / scale
+
+
+def _sweep(blocks, e_mat, dist, coeff, rel_tol, works, stop):
+    """Check blocks (i, j, xs, ys) of instances, each block in (h, x, y) order.
+
+    Returns (worst, instances, witness), the witness being the smallest
+    failing (h, i, j, x, y).  Each pool round computes len(works) batches.
+    With ``stop`` the blocks come in witness order and the sweep ends at the
+    first failure; worst and instances then cover the instances up to it.
+    """
+    size = max(1, BATCH_ENTRIES // dist.shape[0])
+    worst, checked, witness = 0.0, 0, None
+    for i, j, xs, ys in blocks:
+        batches = [(xs[s:s + size], ys[s:s + size]) for s in range(0, len(xs), size)]
+        for g in range(0, len(batches), len(works)):
+            group = batches[g:g + len(works)]
+            rels = pmap(lambda k: _residuals(*group[k], i, j, e_mat, dist, coeff, works[k]),
+                        range(len(group)), len(works))
+            for (bx, by), rel in zip(group, rels):
+                bad = np.flatnonzero(rel > rel_tol)
+                if bad.size:
+                    t = int(bad[0])
+                    x, y = int(bx[t]), int(by[t])
+                    cand = (int(dist[x, y]), i, j, x, y, float(rel[t]))
+                    if stop:
+                        return max(worst, float(rel[:t + 1].max())), checked + t + 1, cand
                     if witness is None or cand[:5] < witness[:5]:
                         witness = cand
-    return worst, witness
+                worst = max(worst, float(rel.max()))
+                checked += rel.size
+    return worst, checked, witness
 
 
-def _instance_residual(x, y, i, j, e_mat, dist, coeff, n):
-    row_x, row_y = dist[x], dist[y]
-    set_ij = np.nonzero((row_x == i) & (row_y == j))[0]
-    set_ji = np.nonzero((row_x == j) & (row_y == i))[0]
-    lhs = e_mat[:, set_ij].sum(axis=1) - e_mat[:, set_ji].sum(axis=1)
-    rhs = coeff[dist[x, y], i, j] * (e_mat[:, x] - e_mat[:, y])
-    res = float(np.abs(lhs - rhs).max())
-    scale = max(float(np.abs(lhs).max(initial=0.0)), float(np.abs(rhs).max()), 1.0 / n)
-    return res / scale
+def _sampled_blocks(dist, ij_pairs, sample_size, seed):
+    """A seeded instance stream, dealt round-robin to the cells."""
+    n = dist.shape[0]
+    # one call draws the same stream as alternating scalar draws of x and y
+    draws = np.random.default_rng(seed).integers(np.tile([n, n - 1], sample_size))
+    xs, ys = draws[0::2], draws[1::2]
+    ys += ys >= xs
+    for c, (i, j) in enumerate(ij_pairs):
+        cx, cy = xs[c::len(ij_pairs)], ys[c::len(ij_pairs)]
+        order = np.lexsort((cy, cx, dist[cx, cy]))
+        yield i, j, cx[order], cy[order]
 
 
 def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
@@ -116,10 +141,11 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                        jobs: int = 1) -> BalancedSetResult:
     """Decide the balanced-set condition for one nontrivial idempotent.
 
-    Full mode checks every (h, i<j, x, y) instance; sampled mode checks a
-    seeded pseudorandom subset, round-robin over the (i, j) cells so every
-    cell gets coverage.  Duplicate dual values against index 0 short-circuit
-    to a negative verdict (the condition's own precondition).
+    Full mode checks every (h, i<j, x, y) instance in that order and stops at
+    the first failure; sampled mode checks a seeded pseudorandom subset,
+    round-robin over the (i, j) cells so every cell gets coverage.  Duplicate
+    dual values against index 0 short-circuit to a negative verdict (the
+    condition's own precondition).
     """
     if candidate == 0:
         raise ValueError("the trivial idempotent is not a Q-polynomial candidate")
@@ -137,38 +163,15 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
 
     coeff = _coefficients(ia, dual)
     e_mat = sd.idempotents[candidate]
-    amats = [m.astype(np.float64) for m in dd.distance_matrices]
     ij_pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
-
-    if mode == "full":
-        slices = np.array_split(np.arange(n), max(1, jobs))
-        parts = pmap(lambda xs: _sweep_slice(xs, e_mat, dd.dist, amats, coeff,
-                                             ij_pairs, tol.balanced_rel, n),
-                     slices, jobs)
-        worst = max(p[0] for p in parts)
-        witnesses = [p[1] for p in parts if p[1] is not None]
-        witness = min(witnesses, key=lambda w: w[:5]) if witnesses else None
-        instances = n * (n - 1) * len(ij_pairs)
-        used_seed = None
+    works = [np.empty((3, max(BATCH_ENTRIES, n))) for _ in range(max(1, jobs))]
+    if mode == "full":  # witness order: h, then (i, j), then (x, y) row-major
+        levels = (np.nonzero(dd.dist == h) for h in range(1, d + 1))
+        blocks, used_seed = ((i, j, xs, ys) for xs, ys in levels for i, j in ij_pairs), None
     else:
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        witness = None
-        for t in range(sample_size):
-            i, j = ij_pairs[t % len(ij_pairs)]
-            x = int(rng.integers(n))
-            y = int(rng.integers(n - 1))
-            if y >= x:
-                y += 1
-            rel = _instance_residual(x, y, i, j, e_mat, dd.dist, coeff, n)
-            if rel > worst:
-                worst = rel
-            if rel > tol.balanced_rel:
-                cand = (int(dd.dist[x, y]), i, j, x, y, rel)
-                if witness is None or cand[:5] < witness[:5]:
-                    witness = cand
-        instances = sample_size
-        used_seed = seed
+        blocks, used_seed = _sampled_blocks(dd.dist, ij_pairs, sample_size, seed), seed
+    worst, instances, witness = _sweep(blocks, e_mat, dd.dist, coeff, tol.balanced_rel,
+                                       works, stop=mode == "full")
 
     verdict = witness is None
     if verdict:
@@ -191,11 +194,11 @@ _SPAN_NONMEMBER = 1e-4
 _SPAN_RANK = 1e-10
 
 
-def _span_residual(vec: np.ndarray, basis: list[np.ndarray]) -> float:
+def _span_residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     r = vec.copy()
     for q in basis:
         r -= (q @ r) * q
-    return float(np.linalg.norm(r))
+    return r
 
 
 def _ordering_for_candidate(sd: SpectralData, c: int) -> Optional[list[int]]:
@@ -208,16 +211,14 @@ def _ordering_for_candidate(sd: SpectralData, c: int) -> Optional[list[int]]:
     remaining = set(range(d + 1))
     for p in range(d + 1):
         v = t ** p
-        r = v.copy()
-        for q in basis:
-            r -= (q @ r) * q
+        r = _span_residual(v, basis)
         if np.linalg.norm(r) <= _SPAN_RANK * np.linalg.norm(v):
             return None  # span stalled: no new idempotent can enter at this degree
         basis.append(r / np.linalg.norm(r))
 
         entering = []
         for j in sorted(remaining):
-            resid = _span_residual(unit[j], basis)
+            resid = float(np.linalg.norm(_span_residual(unit[j], basis)))
             if resid < _SPAN_MEMBER:
                 entering.append(j)
             elif resid < _SPAN_NONMEMBER:
@@ -228,7 +229,9 @@ def _ordering_for_candidate(sd: SpectralData, c: int) -> Optional[list[int]]:
             return None
         order.append(entering[0])
         remaining.remove(entering[0])
-    assert order[0] == 0 and order[1] == c
+    if order[0] != 0 or order[1] != c:
+        raise NumericalError(f"span chain for idempotent {c} produced ordering {order}, "
+                             f"which does not start 0, {c}")
     return order
 
 
@@ -238,12 +241,8 @@ def qpoly_orderings(sd: SpectralData) -> list[list[int]]:
     At most one ordering exists per candidate second idempotent, because the
     span chain determines each later position uniquely.
     """
-    out = []
-    for c in range(1, sd.d + 1):
-        order = _ordering_for_candidate(sd, c)
-        if order is not None:
-            out.append(order)
-    return out
+    orders = (_ordering_for_candidate(sd, c) for c in range(1, sd.d + 1))
+    return [o for o in orders if o is not None]
 
 
 # ---------------------------------------------------------------------------

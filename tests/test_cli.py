@@ -5,7 +5,7 @@ import json
 import pytest
 
 from drgq.cli import main
-from drgq.families import petersen_graph
+from drgq.families import cycle_graph, petersen_graph
 from drgq.graph6 import save_graph6_file, write_graph6
 
 
@@ -90,6 +90,13 @@ class TestAnalyze:
         assert code == 0
         report = json.loads(out)
         assert report["spectral"]["theta"] == [3.0, 1.0, -2.0]
+
+    def test_multi_graph_file_refused(self, capsys, tmp_path):
+        path = tmp_path / "two.g6"
+        save_graph6_file(str(path), [petersen_graph(), cycle_graph(7)])
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert "2 graphs" in err
 
     def test_not_drg_reported(self, capsys, path_graph_file):
         code, out, _ = run(capsys, "analyze", path_graph_file)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgq.errors import DisconnectedGraphError
+from drgq import graphs
+from drgq.errors import DisconnectedGraphError, MathAssertionError
 from drgq.families import complete_graph, cycle_graph, petersen_graph
 from drgq.graphs import (are_isomorphic, bipartite_double, build_graph,
                          connected_components, distance_data, induced_subgraph,
@@ -77,6 +78,11 @@ class TestDistanceData:
         assert dd.diameter == 2
         for gamma in range(10):
             assert len(dd.sphere(gamma, 2)) == 6
+
+    def test_diameter_above_byte_refused(self):
+        # diameter 260: one byte per distance would wrap dist[0, 260] to 4
+        with pytest.raises(ValueError, match="diameter is at least 260"):
+            distance_data(cycle_graph(520))
 
     def test_disconnected_rejected(self):
         g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -218,6 +224,11 @@ class TestIsomorphism:
         big = cycle_graph(70)
         with pytest.raises(ValueError, match="refused"):
             are_isomorphic(big, big)
+
+    def test_failed_witness_recheck_raises(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_verify_mapping", lambda g, h, perm: False)
+        with pytest.raises(MathAssertionError, match="not an isomorphism"):
+            are_isomorphic(petersen_graph(), petersen_graph())
 
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=12), st.randoms(use_true_random=False))

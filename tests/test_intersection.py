@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from drgq.errors import MathAssertionError
 from drgq.families import (build_family, complete_graph, cycle_graph,
                            hamming_graph, odd_graph, petersen_graph)
-from drgq.graphs import build_graph, distance_data
+from drgq.graphs import DistanceData, build_graph, distance_data
 from drgq.intersection import (IntersectionData, NotDRG, check_distance_regular,
                                classify)
 
@@ -53,6 +54,14 @@ class TestCheckDistanceRegular:
         assert brute_force_count(dd, *res.pair_a, res.i, res.j) == res.count_a
         assert brute_force_count(dd, *res.pair_b, res.i, res.j) == res.count_b
         assert res.count_a != res.count_b
+
+    def test_degenerate_array_raises(self):
+        # distances that claim both vertices of K2 lie at distance 2 pass the
+        # constancy check but give b_0 = 0, which no connected graph has
+        dist = np.array([[0, 2], [2, 0]], dtype=np.uint8)
+        dd = DistanceData(dist, 2, [(dist == h).astype(np.uint8) for h in range(3)])
+        with pytest.raises(MathAssertionError, match="degenerate"):
+            check_distance_regular(complete_graph(2), dd)
 
     def test_tensor_matches_definition_on_sampled_pairs(self):
         g = build_family("johnson:6,3")

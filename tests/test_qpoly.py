@@ -5,12 +5,16 @@ matters: instance sums are rebuilt from sphere intersections, never through
 the production sweep's vectorized path.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from drgq.qpoly import (SAMPLE_INSTANCES, balanced_set_check, krein_orderings,
-                        krein_parameters, qpoly_orderings, qpoly_report,
-                        resolve_mode)
+from drgq import qpoly
+from drgq.errors import NumericalError
+from drgq.qpoly import (SAMPLE_INSTANCES, _ordering_for_candidate, balanced_set_check,
+                        krein_orderings, krein_parameters, qpoly_orderings,
+                        qpoly_report, resolve_mode)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +142,83 @@ class TestBalancedSet:
         assert SAMPLE_INSTANCES == 10_000
 
 
+class TestBatchedKernel:
+    def test_residuals_match_definition(self, small):
+        b = small["odd:3"]
+        n, rng = b.graph.n, np.random.default_rng(7)
+        xs = rng.integers(n, size=60)
+        ys = (xs + 1 + rng.integers(n - 1, size=60)) % n
+        work = np.empty((3, max(qpoly.BATCH_ENTRIES, n)))
+        for e in (1, 3):
+            coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
+            for i, j in ((0, 1), (1, 2), (1, 3), (2, 3)):
+                got = qpoly._residuals(xs, ys, i, j, b.sd.idempotents[e], b.dd.dist, coeff, work)
+                for x, y, rel in zip(xs, ys, got):
+                    lhs, rhs = brute_sides(b, e, int(x), int(y), i, j)
+                    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1 / n)
+                    assert abs(np.abs(lhs - rhs).max() / scale - rel) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("spec", ["odd:3", "hamming:3,3", "johnson:7,3"])
+    def test_batch_size_does_not_change_result(self, bundles, monkeypatch, spec, rows):
+        b = bundles[spec]
+        runs = {}
+        for label, entries in (("default", qpoly.BATCH_ENTRIES), ("small", rows * b.graph.n)):
+            monkeypatch.setattr(qpoly, "BATCH_ENTRIES", entries)
+            runs[label] = [balanced_set_check(b.dd, b.ia, b.sd, e, mode=mode, sample_size=500)
+                           for mode in ("full", "sampled") for e in range(1, b.ia.d + 1)]
+        for ref, got in zip(runs["default"], runs["small"]):
+            assert (got.qpoly, got.instances, got.mode) == (ref.qpoly, ref.instances, ref.mode)
+            assert abs(got.worst_residual - ref.worst_residual) <= 1e-13
+            assert (got.witness is None) == (ref.witness is None)
+            if ref.witness is not None:
+                assert got.witness[:5] == ref.witness[:5]
+                assert abs(got.witness[5] - ref.witness[5]) <= 1e-13
+
+    def test_pinned_witnesses_small(self, small):
+        b = small["odd:3"]
+        sampled = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="sampled", seed=0,
+                                     sample_size=2000)
+        full = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="full")
+        assert sampled.witness[:5] == (3, 1, 2, 0, 11)
+        assert full.witness[:5] == (3, 1, 2, 0, 9)
+
+    def test_pinned_witnesses_large(self, bundles):
+        odd4, odd5 = bundles["odd:4"].qpoly.balanced, bundles["odd:5"].qpoly.balanced
+        for e in (1, 2, 3):
+            assert odd4[e].mode == "full" and odd4[e].witness[:5] == (3, 1, 2, 0, 46)
+        assert odd4[4].qpoly
+        for e in (1, 2, 3, 4):
+            assert odd5[e].mode == "sampled" and odd5[e].witness[:5] == (3, 1, 2, 10, 351)
+        assert odd5[5].qpoly
+
+    def test_witness_entries_are_python_scalars(self, small):
+        b = small["odd:3"]
+        for mode in ("full", "sampled"):
+            w = balanced_set_check(b.dd, b.ia, b.sd, 1, mode=mode, sample_size=500).witness
+            assert [type(v) for v in w] == [int] * 5 + [float]
+
+    def test_full_positive_counts_every_instance(self, bundles):
+        for b in bundles.values():
+            for res in b.qpoly.balanced.values():
+                if res.mode == "full" and res.qpoly:
+                    d, n = b.ia.d, b.graph.n
+                    assert res.instances == n * (n - 1) * d * (d + 1) // 2
+
+    def test_full_negative_counts_up_to_witness(self, small):
+        # instances before the witness in (h, i<j, x, y) order, plus the witness itself
+        b = small["odd:3"]
+        res = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="full")
+        h, i, j, x, y, rel = res.witness
+        cells = [(a, c) for a in range(b.ia.d + 1) for c in range(a + 1, b.ia.d + 1)]
+        dist = b.dd.dist
+        before = sum(int((dist == hh).sum()) for hh in range(1, h)) * len(cells)
+        pairs = [tuple(map(int, p)) for p in np.argwhere(dist == h)]
+        before += cells.index((i, j)) * len(pairs) + pairs.index((x, y))
+        assert res.instances == before + 1
+        assert res.worst_residual >= rel
+
+
 class TestOrderings:
     def test_petersen_both_orderings(self, small):
         got = qpoly_orderings(small["petersen"].sd)
@@ -150,6 +231,13 @@ class TestOrderings:
     def test_repeated_dual_candidate_yields_nothing(self, small):
         got = qpoly_orderings(small["hamming:4,2"].sd)
         assert sorted(o[1] for o in got) == [1, 3]  # 2 has collapsed duals
+
+    def test_misplaced_chain_raises(self, small):
+        # swapping the duals of E_0 and E_2 lets E_2 enter the span chain first
+        sd = small["petersen"].sd
+        fake = SimpleNamespace(d=sd.d, dual=sd.dual[[2, 1, 0]])
+        with pytest.raises(NumericalError, match="does not start"):
+            _ordering_for_candidate(fake, 1)
 
     def test_orderings_start_at_zero(self, bundles):
         for b in bundles.values():
