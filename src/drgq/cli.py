@@ -11,21 +11,16 @@ import argparse
 import json
 import os
 import sys
-from math import ceil
 from typing import Optional
 
 from . import __version__
-from .catalogue import CATALOGUE, CHECK_NAMES, run_catalogue
-from .connectivity import (dual_sign_change_index, odd_component_census,
-                           sweep_last_two, sweep_tail)
+from .catalogue import CATALOGUE, CHECK_NAMES, CLAIMS, make_bundle, run_catalogue
 from .errors import DisconnectedGraphError, MathAssertionError, NumericalError
 from .families import FamilySpec, FamilySpecError
 from .graph6 import load_graph6_file
-from .graphs import Graph, distance_data
-from .intersection import NotDRG, check_distance_regular
+from .graphs import Graph
+from .intersection import NotDRG
 from .report import render_pretty, run_analysis, to_json
-from .spectral import compute_spectral_data
-from .qpoly import qpoly_report
 from .tolerances import DEFAULT_TOLERANCES
 
 EXIT_OK = 0
@@ -73,68 +68,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _require_drg_bundle(source: str, args):
-    g, family, name = load_source(source)
-    dd = distance_data(g)
-    res = check_distance_regular(g, dd)
-    if isinstance(res, NotDRG):
-        print(f"{name}: {res}", file=sys.stderr)
-        sys.exit(EXIT_NOT_DRG)
-    tol = DEFAULT_TOLERANCES.with_override(args.tolerance)
-    sd = compute_spectral_data(dd, res, tol)
-    return g, family, name, dd, res, sd, tol
+# verify suite -> registry claim
+SUITES = {"thm1": "last_two", "ck": "tail", "census": "census",
+          "qpoly-consistency": "qpoly_consistency"}
+# what a claim needs of its target when the registry finds it does not apply
+APPLIES_TO = {"last_two": "diameter d >= 3", "census": "an odd:<d> target with d >= 3"}
 
 
 def cmd_verify(args) -> int:
-    g, family, name, dd, ia, sd, tol = _require_drg_bundle(args.target, args)
-
-    if args.suite == "thm1":
-        if ia.d < 3:
-            raise UsageError(f"{name} has diameter {ia.d}; the last-two check needs d >= 3")
-        qp = qpoly_report(dd, ia, sd, mode=args.mode, seed=args.seed, tol=tol, jobs=args.jobs)
-        if not qp.is_qpoly:
-            raise UsageError(f"{name} is not Q-polynomial; the last-two claim does not apply")
-        ok, flags = sweep_last_two(g, dd, args.jobs)
-        if not ok:
-            bad = [i for i, f in enumerate(flags) if not f]
-            print(f"FAIL {name}: last two spheres disconnected at vertices {bad[:10]}")
-            return EXIT_MATH
-        print(f"pass {name}: last two spheres connected at all {g.n} vertices")
-        return EXIT_OK
-
-    if args.suite == "ck":
-        s = dual_sign_change_index(sd.dual[1], tol.dual_zero_snap)
-        if 2 * s < ia.d:
-            print(f"FAIL {name}: sign change s={s} below half the diameter {ia.d}")
-            return EXIT_MATH
-        ok, flags = sweep_tail(g, dd, s, args.jobs)
-        if not ok:
-            bad = [i for i, f in enumerate(flags) if not f]
-            print(f"FAIL {name}: tail from {s} disconnected at vertices {bad[:10]}")
-            return EXIT_MATH
-        print(f"pass {name}: s={s} >= {ceil(ia.d / 2)}, tail connected at all {g.n} vertices")
-        return EXIT_OK
-
-    if args.suite == "census":
-        if family is None or family.kind != "odd":
-            raise UsageError("census only applies to odd:<d> targets")
-        rec = odd_component_census(family.params[0], all_vertices=True)
-        print(f"pass {name}: {rec.count} components of size {rec.expected_size} at all "
-              f"{rec.vertices_checked} vertices (isomorphism certificates: {rec.iso_components})")
-        return EXIT_OK
-
-    if args.suite == "qpoly-consistency":
-        qp = qpoly_report(dd, ia, sd, mode=args.mode, seed=args.seed, tol=tol, jobs=args.jobs)
-        if not qp.consistent:
-            print(f"FAIL {name}: deciders disagree")
-            for line in qp.disagreements:
-                print(f"  {line}")
-            return EXIT_MATH
-        print(f"pass {name}: three deciders agree; Q-polynomial candidates "
-              f"{qp.qpoly_candidates or 'none'}")
-        return EXIT_OK
-
-    raise UsageError(f"unknown suite {args.suite!r}")
+    g, family, name = load_source(args.target)
+    tol = DEFAULT_TOLERANCES.with_override(args.tolerance)
+    b = make_bundle(g, name, family, tol=tol, mode=args.mode, seed=args.seed, jobs=args.jobs)
+    if isinstance(b, NotDRG):
+        print(f"{name}: {b}", file=sys.stderr)
+        sys.exit(EXIT_NOT_DRG)
+    claim_name = SUITES[args.suite]
+    claim = CLAIMS[claim_name](b)
+    if claim is None:
+        raise UsageError(f"{name}: the {claim_name} claim needs {APPLIES_TO[claim_name]}")
+    if not claim.hypothesis_holds:
+        raise UsageError(f"{name}: {claim.detail}")
+    print(f"{'pass' if claim.passed else 'FAIL'} {name}: {claim.detail}")
+    return EXIT_OK if claim.passed else EXIT_MATH
 
 
 def cmd_catalogue(args) -> int:
@@ -184,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run one certification suite against a target")
-    pv.add_argument("suite", choices=("thm1", "ck", "census", "qpoly-consistency"),
+    pv.add_argument("suite", choices=tuple(SUITES),
                     help="thm1: last-two-spheres connectivity; ck: dual sign-change tail "
                          "connectivity; census: odd-graph outer-sphere components; "
                          "qpoly-consistency: three-decider agreement")

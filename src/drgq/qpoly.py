@@ -354,9 +354,3 @@ def qpoly_report(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
         disagreements.append(f"ordering lists differ: span={span} krein={krein}")
     return QPolyReport(balanced, span, krein, q, not disagreements, disagreements)
 
-
-def qpoly_consistency(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
-                      mode: str = "auto", seed: int = 0,
-                      tol: Tolerances = DEFAULT_TOLERANCES, jobs: int = 1) -> bool:
-    """True when the three deciders agree for every nontrivial idempotent."""
-    return qpoly_report(dd, ia, sd, mode=mode, seed=seed, tol=tol, jobs=jobs).consistent

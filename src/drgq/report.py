@@ -15,13 +15,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .connectivity import (dual_sign_change_index, odd_component_census,
-                           sweep_last_two, sweep_tail)
+from .catalogue import CLAIMS, make_bundle
 from .families import FamilySpec
-from .graphs import Graph, distance_data
-from .intersection import NotDRG, check_distance_regular, classify
-from .qpoly import qpoly_report, resolve_mode
-from .spectral import compute_spectral_data, inner_product_residual
+from .graphs import Graph
+from .intersection import NotDRG
+from .qpoly import resolve_mode
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 SECTIONS = ("intersection", "spectral", "qpoly", "connectivity")
@@ -38,7 +36,8 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
                  seed: int = 0, jobs: int = 1,
                  only: Optional[str] = None) -> dict:
     """Full pipeline: distances, regularity, classification, spectra,
-    Q-polynomial verdicts, connectivity certificates.
+    Q-polynomial verdicts, connectivity certificates.  The verdicts come
+    from the claim registry in ``catalogue``.
 
     Stops after the regularity section when the graph is not
     distance-regular; the report then carries the witness.
@@ -63,28 +62,21 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
         },
     }
 
-    t0 = time.perf_counter()
-    dd = distance_data(g)
-    timings["distance"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    checked = check_distance_regular(g, dd)
-    timings["drg_check"] = time.perf_counter() - t0
-
-    if isinstance(checked, NotDRG):
+    b = make_bundle(g, source, family, tol=tol, mode=mode, seed=seed, jobs=jobs,
+                    timings=timings)
+    if isinstance(b, NotDRG):
         report["intersection"] = {
             "is_drg": False,
             "witness": {
-                "h": checked.h, "i": checked.i, "j": checked.j,
-                "pair_a": list(checked.pair_a), "count_a": checked.count_a,
-                "pair_b": list(checked.pair_b), "count_b": checked.count_b,
+                "h": b.h, "i": b.i, "j": b.j,
+                "pair_a": list(b.pair_a), "count_a": b.count_a,
+                "pair_b": list(b.pair_b), "count_b": b.count_b,
             },
         }
         report["timings"] = timings
         return report
 
-    ia = checked
-    flags = classify(g, dd)
+    ia, sd = b.ia, b.sd
     report["intersection"] = {
         "is_drg": True,
         "d": ia.d,
@@ -94,26 +86,20 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
         "a": list(ia.a),
         "sphere_sizes": list(ia.sphere_sizes),
         "classification": {
-            "bipartite": flags.bipartite,
-            "antipodal": flags.antipodal,
-            "primitive": flags.primitive,
+            "bipartite": b.flags.bipartite,
+            "antipodal": b.flags.antipodal,
+            "primitive": b.flags.primitive,
         },
     }
-
-    t0 = time.perf_counter()
-    sd = compute_spectral_data(dd, ia, tol)
-    timings["spectral"] = time.perf_counter() - t0
     report["spectral"] = {
         "theta": _listify(sd.theta),
         "mult": list(sd.mult),
         "dual": _listify(sd.dual),
-        "eq2_max_residual": max(
-            inner_product_residual(sd.idempotents[j], sd.dual[j], dd)
-            for j in range(ia.d + 1)),
+        "eq2_max_residual": CLAIMS["inner_product"](b).worst,
     }
 
     t0 = time.perf_counter()
-    qp = qpoly_report(dd, ia, sd, mode=mode, seed=seed, tol=tol, jobs=jobs)
+    qp = b.qpoly
     timings["qpoly"] = time.perf_counter() - t0
     report["qpoly"] = {
         "verdicts": [qp.balanced[e].qpoly for e in range(1, ia.d + 1)],
@@ -121,30 +107,28 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
         "worst_residual": qp.worst_residual,
         "mode": resolve_mode(g.n, mode),
         "seed": seed,
-        "consistent": qp.consistent,
+        "consistent": CLAIMS["qpoly_consistency"](b).passed,
     }
 
     t0 = time.perf_counter()
     connectivity: dict = {}
-    if ia.d >= 3:
-        all_ok, per_gamma = sweep_last_two(g, dd, jobs)
-        connectivity["thm1"] = {"all_connected": all_ok, "per_gamma": per_gamma}
-    else:
-        connectivity["thm1"] = {"applicable": False}
-    s = dual_sign_change_index(sd.dual[1], tol.dual_zero_snap)
-    tail_ok, _ = sweep_tail(g, dd, s, jobs)
+    thm1 = CLAIMS["last_two"](b)
+    connectivity["thm1"] = ({"applicable": False} if thm1 is None else
+                            {"all_connected": all(thm1.flags), "per_gamma": thm1.flags})
+    tail = CLAIMS["tail"](b)
     connectivity["ck"] = {
-        "s": s,
+        "s": tail.s,
         "s_lower_bound": ceil(ia.d / 2),
-        "tail_all_connected": tail_ok,
+        "tail_all_connected": all(tail.flags),
     }
-    if family is not None and family.kind == "odd" and ia.d >= 3:
-        census = odd_component_census(family.params[0], all_vertices=True)
+    census = CLAIMS["census"](b)
+    if census is not None:
+        rec = census.census
         connectivity["census"] = {
-            "d": census.d,
-            "count": census.count,
-            "component_size": census.expected_size,
-            "iso_certified": census.iso_certified,
+            "d": rec.d,
+            "count": rec.count,
+            "component_size": rec.expected_size,
+            "iso_certified": rec.iso_certified,
         }
     timings["connectivity"] = time.perf_counter() - t0
     report["connectivity"] = connectivity

@@ -187,18 +187,6 @@ def inner_product_residual(e: np.ndarray, dual: np.ndarray, dd: DistanceData) ->
     return float(np.abs(e @ e - target).max())
 
 
-def check_inner_product_identity(sd: "SpectralData", dd: DistanceData, j: int) -> float:
-    """Residual of the inner-product identity for one stored idempotent."""
-    return inner_product_residual(sd.idempotents[j], sd.dual[j], dd)
-
-
-def dual_eigenvalue_sequence(sd: "SpectralData", dd: DistanceData, j: int,
-                             tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Re-read the dual sequence of E_j from its entries, verifying constancy."""
-    eps = tol.matrix_eps(float(sd.theta[0]))
-    return dual_sequence_from_idempotent(sd.idempotents[j], dd, eps)
-
-
 @dataclass
 class SpectralData:
     """Spectrum, projectors, and dual sequences, eigenvalues strictly decreasing."""
@@ -209,11 +197,6 @@ class SpectralData:
     dual: np.ndarray                 # dual[j, h] = h-th dual eigenvalue for E_j
     n: int
     d: int
-
-    def dual_sequence(self, j: int) -> np.ndarray:
-        if not 0 <= j <= self.d:
-            raise IndexError(f"idempotent index {j} outside 0..{self.d}")
-        return self.dual[j]
 
 
 def compute_spectral_data(dd: DistanceData, ia: IntersectionData,
