@@ -16,12 +16,12 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import memory
 from .connectivity import (CensusRecord, dual_sign_change_index, odd_component_census,
-                           subconstituent, sweep_last_two, sweep_tail,
-                           union_subconstituent)
+                           shell_connected, subconstituent, sweep_last_two, sweep_tail)
 from .errors import MathAssertionError
 from .families import FamilySpec
-from .graphs import DistanceData, Graph, connected_components, distance_data
+from .graphs import DistanceData, Graph, distance_data
 from .intersection import (ClassificationFlags, IntersectionData, NotDRG,
                            check_distance_regular, classify)
 from .qpoly import QPolyReport, qpoly_report
@@ -71,12 +71,15 @@ def make_bundle(g: Graph, name: str, family: Optional[FamilySpec] = None,
     """The pipeline up to the spectra, or the witness that g is not distance-regular.
 
     Seconds spent on distances, the regularity check and the spectra are
-    recorded in ``timings`` when given.
+    recorded in ``timings`` when given.  Raises ValueError when the memory
+    model refuses the input's size and diameter.
     """
     timings = {} if timings is None else timings
     t0 = time.perf_counter()
     dd = distance_data(g)
     timings["distance"] = time.perf_counter() - t0
+    memory.require(f"the analysis of {g.n} vertices at diameter {dd.diameter}",
+                   memory.analysis_bytes(g.n, dd.diameter))
     t0 = time.perf_counter()
     ia = check_distance_regular(g, dd)
     timings["drg_check"] = time.perf_counter() - t0
@@ -135,7 +138,7 @@ def last_two(b: Bundle) -> Optional[Claim]:
     verdict, since the analysis report carries it for every d >= 3 input."""
     if b.ia.d < 3:
         return None
-    ok, flags = sweep_last_two(b.graph, b.dd, b.jobs)
+    ok, flags = sweep_last_two(b.graph, b.dd)
     if not b.qpoly.is_qpoly:
         return Claim("last_two", False, "not Q-polynomial, so the claim does not apply",
                      flags=flags, hypothesis_holds=False)
@@ -156,10 +159,9 @@ def inner_split(b: Bundle) -> Optional[Claim]:
     """Odd graphs: spheres 1 and 2 together induce a disconnected subgraph."""
     if not _is_odd(b) or b.family.params[0] not in (3, 4):
         return None
-    for gamma in range(b.graph.n):
-        sub, _ = union_subconstituent(b.graph, b.dd, gamma, 1, 2)
-        if len(connected_components(sub)) == 1:
-            raise MathAssertionError(f"spheres 1-2 connected at vertex {gamma}")
+    connected = np.flatnonzero(shell_connected(b.graph, b.dd, 1, 2))
+    if connected.size:
+        raise MathAssertionError(f"spheres 1-2 connected at vertex {connected[0]}")
     return Claim("inner_split", True, f"disconnected at all {b.graph.n} vertices")
 
 
@@ -185,12 +187,12 @@ def folded_spheres(b: Bundle) -> Optional[Claim]:
     """Folded cubes: spheres 1 and 2 are edgeless, spheres 2..d connected."""
     if b.family is None or b.family.kind != "folded_cube" or b.ia.d < 3:
         return None
+    outer_connected = shell_connected(b.graph, b.dd, 2, b.ia.d)
     for gamma in range(b.graph.n):
         for i in (1, 2):
             if subconstituent(b.graph, b.dd, gamma, i).num_edges != 0:
                 raise MathAssertionError(f"sphere {i} of vertex {gamma} has edges")
-        sub, _ = union_subconstituent(b.graph, b.dd, gamma, 2, b.ia.d)
-        if len(connected_components(sub)) != 1:
+        if not outer_connected[gamma]:
             raise MathAssertionError(f"spheres 2..{b.ia.d} disconnected at {gamma}")
     return Claim("folded_spheres", True, "spheres 1,2 edgeless; outer union connected")
 
@@ -236,7 +238,7 @@ def tail(b: Bundle) -> Claim:
     at every vertex.  The sweep runs even when 2s < d, since the analysis
     report carries it."""
     s = dual_sign_change_index(b.sd.dual[1], b.tol.dual_zero_snap)
-    ok, flags = sweep_tail(b.graph, b.dd, s, b.jobs)
+    ok, flags = sweep_tail(b.graph, b.dd, s)
     if 2 * s < b.ia.d:
         return Claim("tail", False, f"s={s} below half the diameter {b.ia.d}", flags=flags, s=s)
     return Claim("tail", ok, f"s={s}, {_sweep_detail(flags)}", flags=flags, s=s)
@@ -258,6 +260,8 @@ PER_GRAPH_CHECKS = (
 )
 CLAIMS = {check.__name__: check for check in PER_GRAPH_CHECKS}
 CHECK_NAMES = tuple(CLAIMS)
+# the claims that read the Q-polynomial deciders (Bundle.qpoly)
+QPOLY_CLAIMS = ("last_two", "qpoly_consistency")
 
 
 @dataclass
@@ -283,7 +287,8 @@ def run_catalogue(specs=CATALOGUE, only: Optional[str] = None,
     rows = []
     for spec_text in specs:
         bundle = build_bundle(spec_text, tol=tol, mode=mode, seed=seed, jobs=jobs)
-        bundle.qpoly  # the deciders' time belongs to the bundle, not to the first row using them
+        if only is None or only in QPOLY_CLAIMS:
+            bundle.qpoly  # the deciders' time belongs to the bundle, not to the first row using them
         # the entries of PER_GRAPH_CHECKS may be wrapped, so names come from
         # CHECK_NAMES, which lists them in the same order
         for name, check in zip(CHECK_NAMES, PER_GRAPH_CHECKS):

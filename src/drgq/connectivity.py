@@ -4,8 +4,17 @@ Certifies, instance by instance, the connectivity statements this tool
 exists to check: the union of the last two subconstituents is connected
 for Q-polynomial inputs, the tail from the dual-sequence sign change on
 is connected, and the d-th subconstituent of the odd graphs splits into
-the predicted number of bipartite-double components.  The checks iterate
-over every base vertex; vertex transitivity is never assumed.
+the predicted number of bipartite-double components.  The checks cover
+every base vertex; vertex transitivity is never assumed.
+
+One kernel, ``shell_connected``, decides for every base vertex gamma at
+once whether the spheres lo..hi about gamma induce a connected subgraph.
+It holds a label per (vertex, base vertex) pair, masked by the shell, and
+alternates neighbor-minimum steps with pointer jumping (Shiloach-Vishkin
+style) until no label changes; each shell component then carries its
+smallest vertex.  The per-vertex functions (``last_two_connected``,
+``tail_connected``, ``union_subconstituent``) remain as the reference the
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ from .families import disjoint_subset_graph, odd_graph
 from .graphs import (DistanceData, Graph, are_isomorphic, bipartite_double,
                      connected_components, distance_data, induced_subgraph,
                      two_coloring)
-from .parallel import pmap
 
 log = logging.getLogger(__name__)
 
@@ -110,14 +118,54 @@ def subconstituent_shape(g: Graph, dd: DistanceData, gamma: int, i: int) -> Subc
     return SubconstituentShape(False, None, len(comps), sub.n, regular, sub.num_edges)
 
 
+def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
+    """Per base vertex gamma, whether the spheres lo..hi about gamma induce a
+    connected subgraph (an empty shell counts as disconnected).
+
+    Exhaustive over base vertices: row v, column gamma of the label array
+    holds the smallest vertex known to share v's component in gamma's shell,
+    and n off the shell.  Row n holds n, so a jump from an off-shell entry
+    stays off it.  A round gathers over the padded neighbor array, n^2 times
+    the maximum degree: n * 2m on the regular graphs the sweeps run on.
+    """
+    if not 0 <= lo <= hi <= dd.diameter:
+        raise IndexError(f"shell {lo}..{hi} outside 0..{dd.diameter}")
+    n = g.n
+    nbr = g.neighbor_array()
+    inside = (dd.dist >= lo) & (dd.dist <= hi)  # symmetric, so [v, gamma] too
+    off_shell = np.where(inside, 0, n).astype(np.int32)
+    labels = np.full((n + 1, n), n, dtype=np.int32)
+    np.copyto(labels[:n], np.arange(n, dtype=np.int32)[:, None], where=inside)
+    gathered = np.empty((n, n), dtype=np.int32)
+    while True:
+        new = labels.copy()
+        body = new[:n]
+        for col in range(nbr.shape[1]):
+            np.minimum(body, np.take(labels, nbr[:, col], axis=0, out=gathered), out=body)
+        np.maximum(body, off_shell, out=body)
+        new = np.take_along_axis(new, new, axis=0)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    # one root, the component's smallest vertex, per shell component
+    roots = labels[:n] == np.arange(n)[:, None]
+    return roots.sum(axis=0) == 1
+
+
 def sweep_last_two(g: Graph, dd: DistanceData, jobs: int = 1) -> tuple[bool, list[bool]]:
-    """last_two_connected at every base vertex; reports are indexed by vertex."""
-    flags = pmap(lambda gamma: last_two_connected(g, dd, gamma)[0], range(g.n), jobs)
+    """last_two_connected at every base vertex; reports are indexed by vertex.
+
+    ``jobs`` is accepted for compatibility and ignored."""
+    d = dd.diameter
+    if d < 2:
+        raise ValueError(f"needs diameter at least 2, got {d}")
+    flags = shell_connected(g, dd, d - 1, d).tolist()
     return all(flags), flags
 
 
 def sweep_tail(g: Graph, dd: DistanceData, s: int, jobs: int = 1) -> tuple[bool, list[bool]]:
-    flags = pmap(lambda gamma: tail_connected(g, dd, gamma, s), range(g.n), jobs)
+    """tail_connected at every base vertex; ``jobs`` is accepted and ignored."""
+    flags = shell_connected(g, dd, s, dd.diameter).tolist()
     return all(flags), flags
 
 

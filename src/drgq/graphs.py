@@ -1,10 +1,15 @@
 """Core graph representation and combinatorial primitives.
 
 Graphs are simple and undirected, with vertices 0..n-1 and adjacency kept
-as sorted neighbor tuples (dense matrices are derived on demand).  All-pairs
-distances come from per-source BFS and are stored one byte per entry, which
-keeps the largest catalogue members cheap to hold in memory; a graph of
-diameter above 255 is refused rather than wrapped.
+as sorted neighbor tuples (dense matrices and the padded neighbor array are
+derived on demand).  All-pairs distances come from one level-synchronous BFS
+run from every source at once: the frontier is a bit-packed n x n array,
+and each level ORs frontier rows over the neighbor lists, so a level costs
+(2m + n) n / 64 word operations whatever the degrees.  Distances are
+stored one byte per entry, which keeps the largest catalogue members cheap
+to hold in memory; a graph of diameter above 255 is refused rather than
+wrapped, and the memory model is consulted before anything of size n x n
+is allocated.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import memory
 from .errors import DisconnectedGraphError, MathAssertionError
 
 ISO_VERTEX_CAP = 64
@@ -69,6 +75,16 @@ class Graph:
             a[u, self.neighbors[u]] = 1
         return a
 
+    def neighbor_array(self) -> np.ndarray:
+        """n x max(1, maximum degree) array of neighbors, each row padded with
+        its own vertex; a kernel that takes a minimum or a union over a row
+        is unchanged by the padding."""
+        width = max(1, max(self.degrees()))
+        nbr = np.repeat(np.arange(self.n)[:, None], width, axis=1)
+        for v, nb in enumerate(self.neighbors):
+            nbr[v, :len(nb)] = nb
+        return nbr
+
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], label: Optional[str] = None,
                 vertex_labels: Optional[Sequence[str]] = None) -> Graph:
@@ -94,7 +110,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], label: Optional[str] =
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distances from a single source; unreachable vertices get -1."""
-    dist = np.full(g.n, -1, dtype=np.int16)
+    dist = np.full(g.n, -1, dtype=np.int32)
     dist[source] = 0
     queue = deque([source])
     nb = g.neighbors
@@ -129,27 +145,80 @@ class DistanceData:
         return [int((self.dist[gamma] == i).sum()) for i in range(self.diameter + 1)]
 
 
-def distance_data(g: Graph) -> DistanceData:
-    """All-pairs BFS.
+def _closed_neighborhoods(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices) in which row v lists v, then its neighbors."""
+    indptr = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum([len(nb) + 1 for nb in g.neighbors], out=indptr[1:])
+    indices = np.fromiter((w for v, nb in enumerate(g.neighbors) for w in (v, *nb)),
+                          dtype=np.intp, count=int(indptr[-1]))
+    return indptr, indices
 
-    Raises DisconnectedGraphError naming an unreachable pair, and ValueError
-    as soon as some distance exceeds MAX_DISTANCE, the largest one byte holds.
-    """
+
+def _all_source_bfs(g: Graph) -> tuple[np.ndarray, int]:
+    """(dist, diameter) of a connected graph.  The BFS arrays are freed on
+    return, before distance_data builds the class matrices."""
     n = g.n
+    indptr, indices = _closed_neighborhoods(g)
+    # row chunks whose neighborhoods hold at most n entries in all, so one
+    # level gathers 2m + n packed rows however the degrees are spread
+    chunks = []
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + n, side="right")) - 1)
+        chunks.append((a, b, indptr[a:b] - indptr[a], indices[indptr[a]:indptr[b]]))
+        a = b
+    # frontier row x, bit-packed 64 vertices per word, is the set of vertices
+    # at the current level from x; the next level from v is the union of the
+    # frontier rows of v's neighbors, less visited vertices (v's own row adds
+    # only visited ones)
+    words = -(-n // 64)
+    frontier = np.zeros((n, words), dtype=np.uint64)
+    v = np.arange(n)
+    frontier.view(np.uint8)[v, v // 8] = 0x80 >> (v % 8)  # np.packbits bit order
+    unvisited = ~frontier
+    nxt = np.empty_like(frontier)
+    gathered = np.empty_like(frontier)
     dist = np.zeros((n, n), dtype=np.uint8)
-    for src in range(n):
-        row = bfs_distances(g, src)
-        unreachable = np.nonzero(row < 0)[0]
-        if unreachable.size:
-            raise DisconnectedGraphError(src, int(unreachable[0]))
-        ecc = int(row.max())
-        if ecc > MAX_DISTANCE:
+    level = 0
+    while True:
+        for a, b, starts, nbrs in chunks:
+            block = np.take(frontier, nbrs, axis=0, out=gathered[:len(nbrs)])
+            np.bitwise_or.reduceat(block, starts, axis=0, out=nxt[a:b])
+        nxt &= unvisited
+        if not nxt.any():
+            break
+        level += 1
+        if level > MAX_DISTANCE:
+            src = int(np.flatnonzero(nxt.any(axis=1))[0])
+            ecc = int(bfs_distances(g, src).max())
             raise ValueError(f"diameter is at least {ecc} (vertex {src} has eccentricity {ecc}); "
                              f"distances above {MAX_DISTANCE} are not supported")
-        dist[src] = row
-    diameter = int(dist.max())
-    mats = [(dist == h).astype(np.uint8) for h in range(diameter + 1)]
-    return DistanceData(dist, diameter, mats)
+        dist[np.unpackbits(nxt.view(np.uint8), axis=1, count=n).view(bool)] = level
+        unvisited ^= nxt
+        frontier, nxt = nxt, frontier
+    return dist, level
+
+
+def distance_data(g: Graph) -> DistanceData:
+    """All-pairs distances by one BFS from every source at once.
+
+    Raises DisconnectedGraphError naming vertex 0 and the first vertex it
+    cannot reach, ValueError when the memory model refuses the BFS or the
+    distance-class matrices, and ValueError naming the first source with a
+    distance above MAX_DISTANCE, the largest one byte holds, and its
+    eccentricity.
+    """
+    n = g.n
+    unreachable = np.flatnonzero(bfs_distances(g, 0) < 0)
+    if unreachable.size:
+        raise DisconnectedGraphError(0, int(unreachable[0]))
+    memory.require(f"all-pairs distances on {n} vertices",
+                   memory.distance_bytes(n, 2 * g.num_edges + n))
+    dist, level = _all_source_bfs(g)
+    memory.require(f"distance-class matrices on {n} vertices at diameter {level}",
+                   memory.class_bytes(n, level))
+    mats = [(dist == h).view(np.uint8) for h in range(level + 1)]
+    return DistanceData(dist, level, mats)
 
 
 class InducedSubgraph(NamedTuple):

@@ -86,14 +86,16 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
     n = g.n
     if d == 0:
         raise ValueError("a single-vertex graph has no intersection data")
-    masks = [m.astype(bool) for m in dd.distance_matrices]
-    amats = [m.astype(np.float64) for m in dd.distance_matrices]
+    masks = [m.view(bool) for m in dd.distance_matrices]
 
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     first = None  # the smallest violating (h, i, j), i <= j, and its counts on class h
     for i in range(d + 1):
+        # one float copy of A_i per i and of A_j per product, not d + 1 held at once
+        a_i = dd.distance_matrices[i].astype(np.float64)
         for j in range(i, d + 1):
-            counts = amats[i] @ amats[j]  # entry (x,y) = |distance-i ball around x hit by distance-j around y|
+            # entry (x,y) = |distance-i ball around x hit by distance-j around y|
+            counts = a_i @ dd.distance_matrices[j].astype(np.float64)
             for h in range(d + 1):
                 vals = counts[masks[h]]
                 if vals.size == 0:

@@ -1,0 +1,74 @@
+"""Memory model: refuse an input before its n x n arrays are allocated.
+
+Every dense stage holds arrays with one entry per vertex pair, so peak
+memory grows with n squared.  The estimates below are checked against the
+memory available to the process before the arrays exist, so an oversize
+input ends with its estimate (exit 2) instead of swapping or being killed.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Optional
+
+# n x n float64 arrays alive beside the d + 1 idempotents (products,
+# residuals and the connectivity labels)
+FLOAT_TEMPORARIES = 5
+# cgroup v2, then v1; a container's limit may sit far below physical memory
+CGROUP_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",
+                      "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def cgroup_limit() -> Optional[int]:
+    """The first numeric memory limit among CGROUP_LIMIT_FILES, or None when
+    none is readable or the limit reads ``max``."""
+    for path in CGROUP_LIMIT_FILES:
+        try:
+            with open(path) as fh:
+                text = fh.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            return int(text)
+    return None
+
+
+def available_memory() -> int:
+    """Physical memory, or the cgroup limit when that is lower."""
+    have = physical_memory()
+    limit = cgroup_limit()
+    return have if limit is None else min(have, limit)
+
+
+def distance_bytes(n: int, entries: int) -> int:
+    """Peak bytes of the all-source BFS over ``entries`` closed-neighborhood
+    entries (2m + n): the uint8 distances and one unpacked level mask, four
+    bit-packed n x n arrays and the neighbor lists."""
+    packed_row = 8 * -(-n // 64)
+    return 2 * n * n + 4 * n * packed_row + 8 * (entries + n + 1)
+
+
+def class_bytes(n: int, d: int) -> int:
+    """Bytes of the distances and the d + 1 distance-class matrices."""
+    return (d + 2) * n * n
+
+
+def analysis_bytes(n: int, d: int) -> int:
+    """Peak bytes once the diameter is known: distances and the d + 1
+    distance-class matrices (one byte each), the d + 1 float64 idempotents
+    and the float temporaries."""
+    return class_bytes(n, d) + 8 * n * n * (d + 1 + FLOAT_TEMPORARIES)
+
+
+def require(stage: str, need: int) -> None:
+    """Raise ValueError when ``need`` bytes exceed the available memory."""
+    have = available_memory()
+    if need > have:
+        raise ValueError(f"{stage}: an estimated {need:,} bytes ({need / 2**30:.1f} GiB) "
+                         f"exceed the {have:,} bytes ({have / 2**30:.1f} GiB) of memory "
+                         f"available (physical memory, or the cgroup limit when lower)")

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import MathAssertionError, NumericalError
 from .graphs import DistanceData
 from .intersection import IntersectionData
-from .parallel import pmap
 from .spectral import SpectralData
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -90,34 +89,31 @@ def _residuals(xs, ys, i, j, e_mat, dist, coeff, work):
     return np.abs(np.subtract(lhs, rhs, out=m), out=m).max(axis=1) / scale
 
 
-def _sweep(blocks, e_mat, dist, coeff, rel_tol, works, stop):
+def _sweep(blocks, e_mat, dist, coeff, rel_tol, work, stop):
     """Check blocks (i, j, xs, ys) of instances, each block in (h, x, y) order.
 
     Returns (worst, instances, witness), the witness being the smallest
-    failing (h, i, j, x, y).  Each pool round computes len(works) batches.
-    With ``stop`` the blocks come in witness order and the sweep ends at the
-    first failure; worst and instances then cover the instances up to it.
+    failing (h, i, j, x, y).  With ``stop`` the blocks come in witness order
+    and the sweep ends at the first failure; worst and instances then cover
+    the instances up to it.
     """
     size = max(1, BATCH_ENTRIES // dist.shape[0])
     worst, checked, witness = 0.0, 0, None
     for i, j, xs, ys in blocks:
-        batches = [(xs[s:s + size], ys[s:s + size]) for s in range(0, len(xs), size)]
-        for g in range(0, len(batches), len(works)):
-            group = batches[g:g + len(works)]
-            rels = pmap(lambda k: _residuals(*group[k], i, j, e_mat, dist, coeff, works[k]),
-                        range(len(group)), len(works))
-            for (bx, by), rel in zip(group, rels):
-                bad = np.flatnonzero(rel > rel_tol)
-                if bad.size:
-                    t = int(bad[0])
-                    x, y = int(bx[t]), int(by[t])
-                    cand = (int(dist[x, y]), i, j, x, y, float(rel[t]))
-                    if stop:
-                        return max(worst, float(rel[:t + 1].max())), checked + t + 1, cand
-                    if witness is None or cand[:5] < witness[:5]:
-                        witness = cand
-                worst = max(worst, float(rel.max()))
-                checked += rel.size
+        for s in range(0, len(xs), size):
+            bx, by = xs[s:s + size], ys[s:s + size]
+            rel = _residuals(bx, by, i, j, e_mat, dist, coeff, work)
+            bad = np.flatnonzero(rel > rel_tol)
+            if bad.size:
+                t = int(bad[0])
+                x, y = int(bx[t]), int(by[t])
+                cand = (int(dist[x, y]), i, j, x, y, float(rel[t]))
+                if stop:
+                    return max(worst, float(rel[:t + 1].max())), checked + t + 1, cand
+                if witness is None or cand[:5] < witness[:5]:
+                    witness = cand
+            worst = max(worst, float(rel.max()))
+            checked += rel.size
     return worst, checked, witness
 
 
@@ -145,7 +141,7 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
     the first failure; sampled mode checks a seeded pseudorandom subset,
     round-robin over the (i, j) cells so every cell gets coverage.  Duplicate
     dual values against index 0 short-circuit to a negative verdict (the
-    condition's own precondition).
+    condition's own precondition).  ``jobs`` is accepted and ignored.
     """
     if candidate == 0:
         raise ValueError("the trivial idempotent is not a Q-polynomial candidate")
@@ -164,14 +160,14 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
     coeff = _coefficients(ia, dual)
     e_mat = sd.idempotents[candidate]
     ij_pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
-    works = [np.empty((3, max(BATCH_ENTRIES, n))) for _ in range(max(1, jobs))]
+    work = np.empty((3, max(BATCH_ENTRIES, n)))
     if mode == "full":  # witness order: h, then (i, j), then (x, y) row-major
         levels = (np.nonzero(dd.dist == h) for h in range(1, d + 1))
         blocks, used_seed = ((i, j, xs, ys) for xs, ys in levels for i, j in ij_pairs), None
     else:
         blocks, used_seed = _sampled_blocks(dd.dist, ij_pairs, sample_size, seed), seed
     worst, instances, witness = _sweep(blocks, e_mat, dd.dist, coeff, tol.balanced_rel,
-                                       works, stop=mode == "full")
+                                       work, stop=mode == "full")
 
     verdict = witness is None
     if verdict:

@@ -145,14 +145,15 @@ def primitive_idempotents(dd: DistanceData, theta: np.ndarray,
     """
     adj = dd.distance_matrices[1].astype(np.float64)
     n = adj.shape[0]
-    eye = np.eye(n)
     idempotents = []
     for j, tj in enumerate(theta):
         e = None
         for l, tl in enumerate(theta):
             if l == j:
                 continue
-            factor = (adj - tl * eye) / (tj - tl)
+            factor = adj.copy()
+            factor.flat[::n + 1] -= tl
+            factor /= tj - tl
             e = factor if e is None else e @ factor
         assert e is not None
         e = 0.5 * (e + e.T)

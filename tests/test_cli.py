@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from drgq import catalogue, memory
 from drgq.cli import main
 from drgq.families import cycle_graph, petersen_graph
 from drgq.graph6 import save_graph6_file, write_graph6
@@ -180,6 +181,46 @@ class TestCatalogue:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "catalogue", "--only", "bogus")
         assert exc.value.code == 2
+
+    def test_only_skips_unread_deciders(self, capsys, monkeypatch):
+        # the dual oracle never reads the Q-polynomial deciders, so they must not run
+        def refuse(*args, **kwargs):
+            raise AssertionError("qpoly_report called")
+        monkeypatch.setattr(catalogue, "qpoly_report", refuse)
+        code, out, _ = run(capsys, "catalogue", "--only", "dual_oracle", "--json")
+        assert code == 0 and len(json.loads(out)) == 12
+
+
+class TestMemoryPreflight:
+    # the budget is patched down; no oversize array is ever allocated
+    @pytest.mark.parametrize("spec, budget, stage, estimate", [
+        ("hamming:4,2", 1000, "all-pairs distances on 16 vertices",
+         memory.distance_bytes(16, 80)),
+        # passes the BFS estimate, refused before the d + 1 class matrices
+        ("cycle:20", memory.distance_bytes(20, 60),
+         "distance-class matrices on 20 vertices at diameter 10", memory.class_bytes(20, 10)),
+        ("hamming:4,2", memory.distance_bytes(16, 80),
+         "the analysis of 16 vertices at diameter 4", memory.analysis_bytes(16, 4)),
+    ])
+    def test_refused_with_estimate(self, capsys, monkeypatch, spec, budget, stage, estimate):
+        assert budget < estimate
+        monkeypatch.setattr(memory, "physical_memory", lambda: budget)
+        code, out, err = run(capsys, "analyze", spec)
+        assert code == 2 and out == ""
+        assert f"{stage}: an estimated {estimate:,} bytes" in err
+        assert f"the {budget:,} bytes" in err
+
+    def test_cgroup_limit(self, tmp_path, monkeypatch):
+        unlimited, limited = tmp_path / "memory.max", tmp_path / "limit_in_bytes"
+        unlimited.write_text("max\n")
+        limited.write_text("4096\n")
+        missing = str(tmp_path / "absent")
+        monkeypatch.setattr(memory, "CGROUP_LIMIT_FILES", (missing, str(unlimited)))
+        assert memory.cgroup_limit() is None
+        assert memory.available_memory() == memory.physical_memory()
+        monkeypatch.setattr(memory, "CGROUP_LIMIT_FILES", (missing, str(limited)))
+        assert memory.cgroup_limit() == 4096
+        assert memory.available_memory() == 4096
 
 
 def test_version(capsys):

@@ -4,15 +4,17 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drgq.connectivity import (dual_sign_change_index, last_two_connected,
-                               odd_component_census, subconstituent,
+                               odd_component_census, shell_connected, subconstituent,
                                subconstituent_shape, sweep_last_two, sweep_tail,
                                tail_connected, union_subconstituent)
 from drgq.errors import MathAssertionError
 from drgq.families import build_family, cycle_graph, petersen_graph
-from drgq.graphs import (are_isomorphic, bipartite_double, connected_components,
-                         distance_data)
+from drgq.graphs import (are_isomorphic, bipartite_double, build_graph,
+                         connected_components, distance_data)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,43 @@ class TestLastTwoConnected:
         members = sorted(v for comp in comps for v in comp)
         expected = sorted(np.nonzero(odd3.dd.dist[5] >= 2)[0].tolist())
         assert members == expected
+
+
+@st.composite
+def trees_plus_edges(draw, max_n=14):
+    """Connected graphs, mostly irregular: a random tree plus random chords."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chords = draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    return build_graph(n, tree + chords)
+
+
+def _per_vertex_shell_flags(g, dd, lo, hi):
+    flags = []
+    for gamma in range(g.n):
+        if not ((dd.dist[gamma] >= lo) & (dd.dist[gamma] <= hi)).any():
+            flags.append(False)  # an empty shell has no component
+            continue
+        sub, _ = union_subconstituent(g, dd, gamma, lo, hi)
+        flags.append(len(connected_components(sub)) == 1)
+    return flags
+
+
+class TestShellKernel:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(trees_plus_edges())
+    @example(build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]))
+    def test_matches_per_vertex_reference(self, g):
+        dd = distance_data(g)
+        for lo in range(dd.diameter + 1):
+            for hi in range(lo, dd.diameter + 1):
+                assert (shell_connected(g, dd, lo, hi).tolist()
+                        == _per_vertex_shell_flags(g, dd, lo, hi)), (lo, hi)
+
+    def test_shell_outside_diameter_rejected(self, odd3):
+        with pytest.raises(IndexError):
+            shell_connected(odd3.graph, odd3.dd, 2, 4)
 
 
 class TestSignChangeIndex:

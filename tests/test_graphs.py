@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgq import graphs
+from drgq.catalogue import CATALOGUE
 from drgq.errors import DisconnectedGraphError, MathAssertionError
-from drgq.families import complete_graph, cycle_graph, petersen_graph
-from drgq.graphs import (are_isomorphic, bipartite_double, build_graph,
+from drgq.families import FamilySpec, complete_graph, cycle_graph, petersen_graph
+from drgq.graphs import (are_isomorphic, bfs_distances, bipartite_double, build_graph,
                          connected_components, distance_data, induced_subgraph,
                          two_coloring)
 
@@ -89,6 +90,43 @@ class TestDistanceData:
         with pytest.raises(DisconnectedGraphError) as exc:
             distance_data(g)
         assert "unreachable" in str(exc.value)
+
+    def test_disconnected_pair_names_vertex_0(self):
+        # vertex 0 lies in the larger component {0, 2, 4}: the pair is still
+        # vertex 0 and the first vertex it cannot reach
+        g = build_graph(5, [(0, 2), (2, 4), (1, 3)])
+        with pytest.raises(DisconnectedGraphError) as exc:
+            distance_data(g)
+        assert (exc.value.u, exc.value.v) == (0, 1)
+
+    @pytest.mark.parametrize("spec", CATALOGUE + ("johnson:10,5", "hamming:8,2"))
+    def test_matches_per_source_bfs(self, spec):
+        g = FamilySpec.parse(spec).build()
+        dd = distance_data(g)
+        reference = np.array([bfs_distances(g, src) for src in range(g.n)])
+        assert dd.dist.dtype == np.uint8 and (dd.dist == reference).all()
+        assert dd.diameter == reference.max()
+
+    @pytest.mark.parametrize("g", [
+        # a hub of degree n - 1: its closed neighborhood fills a gather chunk alone
+        build_graph(300, [(0, i) for i in range(1, 300)] + [(i, i % 299 + 1) for i in range(1, 300)]),
+        # a hub with long arms: many levels, degrees 1, 2 and 12
+        build_graph(241, [(0 if i % 20 == 1 else i - 1, i) for i in range(1, 241)]),
+        # paths across the 64-vertex word boundaries of the packed frontier
+        *(build_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 63, 64, 65, 129)),
+    ])
+    def test_irregular_matches_per_source_bfs(self, g):
+        dd = distance_data(g)
+        reference = np.array([bfs_distances(g, src) for src in range(g.n)])
+        assert (dd.dist == reference).all() and dd.diameter == reference.max()
+        assert sum(dd.distance_matrices).min() == 1
+
+    def test_bfs_distances_beyond_int16(self):
+        # a 16-bit distance wraps at 32768, and the wrapped negative value
+        # reads as unvisited
+        n = 33_000
+        dist = bfs_distances(build_graph(n, [(i, i + 1) for i in range(n - 1)]), 0)
+        assert dist[-1] == n - 1 and (dist >= 0).all()
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs())
