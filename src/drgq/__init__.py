@@ -14,17 +14,15 @@ from .families import (FamilySpec, FamilySpecError, build_family, complete_graph
 from .intersection import (ClassificationFlags, IntersectionData, NotDRG,
                            check_distance_regular, classify)
 from .spectral import (SpectralData, compute_spectral_data,
-                       dual_sequence_from_idempotent,
                        eigenvalues_from_intersection_array,
-                       inner_product_residual, primitive_idempotents,
-                       standard_sequence)
+                       inner_product_residual, standard_sequence)
 from .qpoly import (BalancedSetResult, QPolyReport, balanced_set_check,
                     krein_orderings, krein_parameters, qpoly_orderings,
                     qpoly_report)
 from .connectivity import (CensusRecord, dual_sign_change_index,
                            last_two_connected, odd_component_census,
-                           subconstituent, subconstituent_shape, sweep_last_two,
-                           sweep_tail, tail_connected)
+                           subconstituent, sweep_last_two, sweep_tail,
+                           tail_connected)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .report import run_analysis, to_json
 

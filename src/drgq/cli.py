@@ -78,7 +78,7 @@ APPLIES_TO = {"last_two": "diameter d >= 3", "census": "an odd:<d> target with d
 def cmd_verify(args) -> int:
     g, family, name = load_source(args.target)
     tol = DEFAULT_TOLERANCES.with_override(args.tolerance)
-    b = make_bundle(g, name, family, tol=tol, mode=args.mode, seed=args.seed, jobs=args.jobs)
+    b = make_bundle(g, name, family, tol=tol, mode=args.mode, seed=args.seed)
     if isinstance(b, NotDRG):
         print(f"{name}: {b}", file=sys.stderr)
         sys.exit(EXIT_NOT_DRG)
@@ -94,8 +94,7 @@ def cmd_verify(args) -> int:
 
 def cmd_catalogue(args) -> int:
     tol = DEFAULT_TOLERANCES.with_override(args.tolerance)
-    rows = run_catalogue(only=args.only, tol=tol, mode=args.mode,
-                         seed=args.seed, jobs=args.jobs)
+    rows = run_catalogue(only=args.only, tol=tol, mode=args.mode, seed=args.seed)
     if args.json:
         payload = [{"graph": r.graph, "check": r.check, "passed": r.passed,
                     "detail": r.detail, "seconds": round(r.seconds, 3)} for r in rows]
@@ -123,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("auto", "full", "sampled"), default="auto",
                        help="balanced-set sweep mode (auto: full up to 200 vertices)")
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker thread cap")
+        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
 
     pa = sub.add_parser("analyze", help="run the full pipeline on one graph")
     pa.add_argument("source", help="family spec (odd:3, johnson:6,3, petersen, ...) or graph6 file")

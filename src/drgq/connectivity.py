@@ -96,28 +96,6 @@ def tail_connected(g: Graph, dd: DistanceData, gamma: int, s: int) -> bool:
     return len(connected_components(sub)) == 1
 
 
-@dataclass
-class SubconstituentShape:
-    connected: bool
-    diameter: Optional[int]   # None when disconnected
-    components: int
-    vertices: int
-    regular_degree: Optional[int]  # None when not regular
-    edges: int
-
-
-def subconstituent_shape(g: Graph, dd: DistanceData, gamma: int, i: int) -> SubconstituentShape:
-    """Diameter when connected, component count otherwise, plus degree data."""
-    sub = subconstituent(g, dd, gamma, i)
-    comps = connected_components(sub)
-    degs = sub.degrees()
-    regular = degs[0] if degs and len(set(degs)) == 1 else None
-    if len(comps) == 1:
-        diam = distance_data(sub).diameter if sub.n > 0 else 0
-        return SubconstituentShape(True, diam, 1, sub.n, regular, sub.num_edges)
-    return SubconstituentShape(False, None, len(comps), sub.n, regular, sub.num_edges)
-
-
 def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
     """Per base vertex gamma, whether the spheres lo..hi about gamma induce a
     connected subgraph (an empty shell counts as disconnected).
@@ -152,10 +130,8 @@ def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
     return roots.sum(axis=0) == 1
 
 
-def sweep_last_two(g: Graph, dd: DistanceData, jobs: int = 1) -> tuple[bool, list[bool]]:
-    """last_two_connected at every base vertex; reports are indexed by vertex.
-
-    ``jobs`` is accepted for compatibility and ignored."""
+def sweep_last_two(g: Graph, dd: DistanceData) -> tuple[bool, list[bool]]:
+    """last_two_connected at every base vertex; reports are indexed by vertex."""
     d = dd.diameter
     if d < 2:
         raise ValueError(f"needs diameter at least 2, got {d}")
@@ -163,8 +139,8 @@ def sweep_last_two(g: Graph, dd: DistanceData, jobs: int = 1) -> tuple[bool, lis
     return all(flags), flags
 
 
-def sweep_tail(g: Graph, dd: DistanceData, s: int, jobs: int = 1) -> tuple[bool, list[bool]]:
-    """tail_connected at every base vertex; ``jobs`` is accepted and ignored."""
+def sweep_tail(g: Graph, dd: DistanceData, s: int) -> tuple[bool, list[bool]]:
+    """tail_connected at every base vertex."""
     flags = shell_connected(g, dd, s, dd.diameter).tolist()
     return all(flags), flags
 

@@ -7,15 +7,16 @@ run from every source at once: the frontier is a bit-packed n x n array,
 and each level ORs frontier rows over the neighbor lists, so a level costs
 (2m + n) n / 64 word operations whatever the degrees.  Distances are
 stored one byte per entry, which keeps the largest catalogue members cheap
-to hold in memory; a graph of diameter above 255 is refused rather than
-wrapped, and the memory model is consulted before anything of size n x n
-is allocated.
+to hold in memory, and they are the only n x n form of the distance
+classes: a check that needs the pairs at distance h takes ``dist == h``.  A
+graph of diameter above 255 is refused rather than wrapped, and the memory
+model is consulted before anything of size n x n is allocated.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -126,16 +127,14 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 
 @dataclass
 class DistanceData:
-    """All-pairs distances plus the derived distance-class matrices.
+    """All-pairs distances, the one representation of the distance classes.
 
-    ``dist`` is symmetric with zero diagonal, one byte per entry.
-    ``distance_matrices[h]`` is the 0/1 matrix of pairs at distance h;
-    the matrices are entrywise disjoint and sum to the all-ones matrix.
+    ``dist`` is symmetric with zero diagonal, one byte per entry; the pairs
+    at distance h are ``dist == h``.
     """
 
     dist: np.ndarray
     diameter: int
-    distance_matrices: list[np.ndarray] = field(repr=False)
 
     def sphere(self, gamma: int, i: int) -> np.ndarray:
         """Vertex indices at distance exactly i from gamma."""
@@ -154,10 +153,20 @@ def _closed_neighborhoods(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def _all_source_bfs(g: Graph) -> tuple[np.ndarray, int]:
-    """(dist, diameter) of a connected graph.  The BFS arrays are freed on
-    return, before distance_data builds the class matrices."""
+def distance_data(g: Graph) -> DistanceData:
+    """All-pairs distances by one BFS from every source at once.
+
+    Raises DisconnectedGraphError naming vertex 0 and the first vertex it
+    cannot reach, ValueError when the memory model refuses the BFS, and
+    ValueError naming the first source with a distance above MAX_DISTANCE,
+    the largest one byte holds, and its eccentricity.
+    """
     n = g.n
+    unreachable = np.flatnonzero(bfs_distances(g, 0) < 0)
+    if unreachable.size:
+        raise DisconnectedGraphError(0, int(unreachable[0]))
+    memory.require(f"all-pairs distances on {n} vertices",
+                   memory.distance_bytes(n, 2 * g.num_edges + n))
     indptr, indices = _closed_neighborhoods(g)
     # row chunks whose neighborhoods hold at most n entries in all, so one
     # level gathers 2m + n packed rows however the degrees are spread
@@ -196,29 +205,7 @@ def _all_source_bfs(g: Graph) -> tuple[np.ndarray, int]:
         dist[np.unpackbits(nxt.view(np.uint8), axis=1, count=n).view(bool)] = level
         unvisited ^= nxt
         frontier, nxt = nxt, frontier
-    return dist, level
-
-
-def distance_data(g: Graph) -> DistanceData:
-    """All-pairs distances by one BFS from every source at once.
-
-    Raises DisconnectedGraphError naming vertex 0 and the first vertex it
-    cannot reach, ValueError when the memory model refuses the BFS or the
-    distance-class matrices, and ValueError naming the first source with a
-    distance above MAX_DISTANCE, the largest one byte holds, and its
-    eccentricity.
-    """
-    n = g.n
-    unreachable = np.flatnonzero(bfs_distances(g, 0) < 0)
-    if unreachable.size:
-        raise DisconnectedGraphError(0, int(unreachable[0]))
-    memory.require(f"all-pairs distances on {n} vertices",
-                   memory.distance_bytes(n, 2 * g.num_edges + n))
-    dist, level = _all_source_bfs(g)
-    memory.require(f"distance-class matrices on {n} vertices at diameter {level}",
-                   memory.class_bytes(n, level))
-    mats = [(dist == h).view(np.uint8) for h in range(level + 1)]
-    return DistanceData(dist, level, mats)
+    return DistanceData(dist, level)
 
 
 class InducedSubgraph(NamedTuple):
@@ -263,10 +250,6 @@ def connected_components(g: Graph) -> list[list[int]]:
         comp.sort()
         comps.append(comp)
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
 
 
 def two_coloring(g: Graph) -> Optional[list[int]]:

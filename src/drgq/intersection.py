@@ -86,18 +86,16 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
     n = g.n
     if d == 0:
         raise ValueError("a single-vertex graph has no intersection data")
-    masks = [m.view(bool) for m in dd.distance_matrices]
-
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     first = None  # the smallest violating (h, i, j), i <= j, and its counts on class h
     for i in range(d + 1):
         # one float copy of A_i per i and of A_j per product, not d + 1 held at once
-        a_i = dd.distance_matrices[i].astype(np.float64)
+        a_i = (dd.dist == i).astype(np.float64)
         for j in range(i, d + 1):
             # entry (x,y) = |distance-i ball around x hit by distance-j around y|
-            counts = a_i @ dd.distance_matrices[j].astype(np.float64)
+            counts = a_i @ (dd.dist == j).astype(np.float64)
             for h in range(d + 1):
-                vals = counts[masks[h]]
+                vals = counts[dd.dist == h]
                 if vals.size == 0:
                     continue
                 lo, hi = vals.min(), vals.max()
@@ -108,7 +106,7 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
 
     if first is not None:
         (h, i, j), vals = first
-        pairs = np.argwhere(masks[h])  # row-major order = lexicographic pairs = order of vals
+        pairs = np.argwhere(dd.dist == h)  # row-major order = lexicographic pairs = order of vals
         kdiff = int(np.nonzero(vals != vals[0])[0][0])
         (x0, y0), (x1, y1) = pairs[[0, kdiff]].tolist()
         return NotDRG(h, i, j, (x0, y0), int(vals[0]), (x1, y1), int(vals[kdiff]))

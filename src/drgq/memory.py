@@ -1,7 +1,8 @@
 """Memory model: refuse an input before its n x n arrays are allocated.
 
 Every dense stage holds arrays with one entry per vertex pair, so peak
-memory grows with n squared.  The estimates below are checked against the
+memory grows with n squared.  Two stages are modelled: the all-source BFS
+and the analysis after it.  The estimates below are checked against the
 memory available to the process before the arrays exist, so an oversize
 input ends with its estimate (exit 2) instead of swapping or being killed.
 """
@@ -11,9 +12,13 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-# n x n float64 arrays alive beside the d + 1 idempotents (products,
-# residuals and the connectivity labels)
+# n x n float64 arrays alive at once beside the distances: the regularity
+# check holds A_i, A_j and, while one product replaces the last, two count
+# matrices; certifying a projector holds A - theta I, E_j, a product and its
+# target; the int32 labels of the connectivity sweeps fit in the same room
 FLOAT_TEMPORARIES = 5
+# the balanced-set sweep's batch buffers, sized by qpoly.BATCH_ENTRIES, not n
+BATCH_BUFFER_BYTES = 4 << 20
 # cgroup v2, then v1; a container's limit may sit far below physical memory
 CGROUP_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",
                       "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -53,16 +58,13 @@ def distance_bytes(n: int, entries: int) -> int:
     return 2 * n * n + 4 * n * packed_row + 8 * (entries + n + 1)
 
 
-def class_bytes(n: int, d: int) -> int:
-    """Bytes of the distances and the d + 1 distance-class matrices."""
-    return (d + 2) * n * n
-
-
-def analysis_bytes(n: int, d: int) -> int:
-    """Peak bytes once the diameter is known: distances and the d + 1
-    distance-class matrices (one byte each), the d + 1 float64 idempotents
-    and the float temporaries."""
-    return class_bytes(n, d) + 8 * n * n * (d + 1 + FLOAT_TEMPORARIES)
+def analysis_bytes(n: int) -> int:
+    """Peak bytes of the analysis after the BFS: the one-byte distances and
+    one boolean distance class, the float64 temporaries and the batch
+    buffers.  The distance classes are formed one at a time from the
+    distances, and each projector is assembled on demand from its d + 1
+    dual coordinates, so neither is held d + 1 times."""
+    return 2 * n * n + 8 * n * n * FLOAT_TEMPORARIES + BATCH_BUFFER_BYTES
 
 
 def require(stage: str, need: int) -> None:

@@ -9,8 +9,10 @@ another:
 * ordering recovery works in dual-coordinate space, where entrywise products
   of Bose-Mesner idempotents are diagonal, and asks that each entrywise power
   of a candidate's dual vector admits exactly one new idempotent into its span;
-* the Krein oracle computes q^h_ij = n tr((E_i o E_j) E_h) / m_h and looks for
-  orderings whose q^1 slice is irreducible tridiagonal.
+* the Krein oracle computes q^h_ij = n tr((E_i o E_j) E_h) / m_h in closed
+  form from the d+1 coordinates, (1/(n m_h)) sum_l k_l Q_il Q_jl Q_hl with
+  Q_jl the l-th dual eigenvalue of E_j and k_l the sphere sizes, and looks
+  for orderings whose q^1 slice is irreducible tridiagonal.
 
 The sweep checks the identity entrywise over all coordinates, which is
 strictly stronger than inner-product probes.  One kernel serves both modes:
@@ -133,15 +135,14 @@ def _sampled_blocks(dist, ij_pairs, sample_size, seed):
 def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                        candidate: int, mode: str = "auto", seed: int = 0,
                        sample_size: int = SAMPLE_INSTANCES,
-                       tol: Tolerances = DEFAULT_TOLERANCES,
-                       jobs: int = 1) -> BalancedSetResult:
+                       tol: Tolerances = DEFAULT_TOLERANCES) -> BalancedSetResult:
     """Decide the balanced-set condition for one nontrivial idempotent.
 
     Full mode checks every (h, i<j, x, y) instance in that order and stops at
     the first failure; sampled mode checks a seeded pseudorandom subset,
     round-robin over the (i, j) cells so every cell gets coverage.  Duplicate
     dual values against index 0 short-circuit to a negative verdict (the
-    condition's own precondition).  ``jobs`` is accepted and ignored.
+    condition's own precondition).
     """
     if candidate == 0:
         raise ValueError("the trivial idempotent is not a Q-polynomial candidate")
@@ -158,7 +159,7 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                                      duplicate_dual_index=h)
 
     coeff = _coefficients(ia, dual)
-    e_mat = sd.idempotents[candidate]
+    e_mat = sd.idempotent(candidate)
     ij_pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
     work = np.empty((3, max(BATCH_ENTRIES, n)))
     if mode == "full":  # witness order: h, then (i, j), then (x, y) row-major
@@ -247,16 +248,14 @@ def qpoly_orderings(sd: SpectralData) -> list[list[int]]:
 
 def krein_parameters(sd: SpectralData, tol: Tolerances = DEFAULT_TOLERANCES,
                      k: Optional[float] = None) -> np.ndarray:
-    """The tensor q^h_ij = n tr((E_i o E_j) E_h) / m_h, with a nonnegativity check."""
-    d, n = sd.d, sd.n
-    ems = sd.idempotents
-    q = np.empty((d + 1, d + 1, d + 1))
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            prod = ems[i] * ems[j]
-            for h in range(d + 1):
-                val = n * float(np.sum(prod * ems[h])) / sd.mult[h]
-                q[h, i, j] = q[h, j, i] = val
+    """The tensor q^h_ij = n tr((E_i o E_j) E_h) / m_h, with a nonnegativity check.
+
+    E_j takes the value dual[j, l] / n on the n k_l pairs at distance l, so
+    the trace is a sum over the d+1 distances.
+    """
+    dual = sd.dual
+    q = np.einsum("l,il,jl,hl->hij", np.asarray(sd.sizes, dtype=np.float64), dual, dual, dual)
+    q /= sd.n * np.asarray(sd.mult, dtype=np.float64)[:, None, None]
     eps = tol.matrix_eps(k if k is not None else float(sd.theta[0]))
     low = float(q.min())
     if low < -10 * eps:
@@ -328,9 +327,9 @@ class QPolyReport:
 
 def qpoly_report(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                  mode: str = "auto", seed: int = 0,
-                 tol: Tolerances = DEFAULT_TOLERANCES, jobs: int = 1) -> QPolyReport:
+                 tol: Tolerances = DEFAULT_TOLERANCES) -> QPolyReport:
     """Run all three deciders and compare them idempotent by idempotent."""
-    balanced = {e: balanced_set_check(dd, ia, sd, e, mode=mode, seed=seed, tol=tol, jobs=jobs)
+    balanced = {e: balanced_set_check(dd, ia, sd, e, mode=mode, seed=seed, tol=tol)
                 for e in range(1, sd.d + 1)}
     span = qpoly_orderings(sd)
     q = krein_parameters(sd, tol, k=ia.k)

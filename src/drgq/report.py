@@ -40,7 +40,8 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
     from the claim registry in ``catalogue``.
 
     Stops after the regularity section when the graph is not
-    distance-regular; the report then carries the witness.
+    distance-regular; the report then carries the witness.  ``jobs`` is
+    accepted and ignored, and echoed into the settings block.
     """
     if only is not None and only not in SECTIONS:
         raise ValueError(f"unknown section {only!r}; expected one of {', '.join(SECTIONS)}")
@@ -62,8 +63,7 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
         },
     }
 
-    b = make_bundle(g, source, family, tol=tol, mode=mode, seed=seed, jobs=jobs,
-                    timings=timings)
+    b = make_bundle(g, source, family, tol=tol, mode=mode, seed=seed, timings=timings)
     if isinstance(b, NotDRG):
         report["intersection"] = {
             "is_drg": False,

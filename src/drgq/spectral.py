@@ -1,23 +1,24 @@
-"""Eigenvalues, primitive idempotents, and dual eigenvalue sequences.
+"""Eigenvalues, dual eigenvalue sequences, and the primitive idempotents they fix.
 
 Eigenvalues come from the (d+1)x(d+1) tridiagonal intersection matrix, not
 the full adjacency matrix: after a diagonal similarity it is symmetric with
 positive off-diagonals, so its eigenvalues are simple and a Sturm-count
 bisection brackets each one individually.  Values within snapping distance
-of an integer are rounded and everything downstream re-verifies itself
-through projector residuals.
+of an integer are rounded.
 
-Idempotents are built as the Lagrange projector products
-prod_{l != j} (A - theta_l I)/(theta_j - theta_l), applied factor by factor
-so intermediates stay O(1).  Dual sequences are read off idempotent entries
-per distance class (entry constancy on each class is itself checked); the
-three-term recurrence lives in ``standard_sequence`` and serves elsewhere as
-an independent oracle for those reads.
+The Bose-Mesner algebra is kept in its d+1 coordinates: the dual sequence
+of E_j is m_j times the standard sequence of theta_j, from the three-term
+recurrence, and E_j = dual[j][dist] / n is assembled on demand wherever a
+check needs actual vectors.  Each assembled E_j is certified once against
+the graph by its eigen residual ||A E_j - theta_j E_j|| and its idempotency
+residual ||E_j^2 - E_j||; as its trace is m_j and the m_j sum to n, that
+makes it the projector onto the theta_j-eigenspace.  The Lagrange product
+``primitive_idempotents`` is kept as the tests' reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,11 +140,13 @@ def eigenvalues_from_intersection_array(ia: IntersectionData,
 
 def primitive_idempotents(dd: DistanceData, theta: np.ndarray,
                           eps: float) -> list[np.ndarray]:
-    """Spectral projectors E_0..E_d of the adjacency matrix.
+    """Spectral projectors E_0..E_d of the adjacency matrix, as Lagrange products
+    prod_{l != j} (A - theta_l I)/(theta_j - theta_l), applied factor by factor
+    so intermediates stay O(1).  The reference for the assembled projectors.
 
     Each projector's idempotency residual is verified against ``eps``.
     """
-    adj = dd.distance_matrices[1].astype(np.float64)
+    adj = (dd.dist == 1).astype(np.float64)
     n = adj.shape[0]
     idempotents = []
     for j, tj in enumerate(theta):
@@ -164,57 +167,54 @@ def primitive_idempotents(dd: DistanceData, theta: np.ndarray,
     return idempotents
 
 
-def dual_sequence_from_idempotent(e: np.ndarray, dd: DistanceData, eps: float) -> np.ndarray:
-    """Read n * (constant entry of E on each distance class), verifying constancy."""
-    n = e.shape[0]
-    out = np.empty(dd.diameter + 1)
-    for h, mask in enumerate(dd.distance_matrices):
-        vals = e[mask.astype(bool)]
-        spread = float(vals.max() - vals.min())
-        if spread > eps:
-            raise NumericalError(
-                f"idempotent entries vary by {spread:.3e} on distance class {h}; "
-                "input is not distance-regular or numerics broke down")
-        out[h] = n * float(vals.mean())
-    return out
-
-
 def inner_product_residual(e: np.ndarray, dual: np.ndarray, dd: DistanceData) -> float:
     """max over pairs x,y of |<E x, E y> - dual[dist(x,y)] / n|."""
-    n = e.shape[0]
-    target = np.zeros((n, n))
-    for h, mask in enumerate(dd.distance_matrices):
-        target += (dual[h] / n) * mask
-    return float(np.abs(e @ e - target).max())
+    prod = e @ e
+    prod -= (dual / e.shape[0])[dd.dist]
+    return float(np.abs(prod, out=prod).max())
 
 
 @dataclass
 class SpectralData:
-    """Spectrum, projectors, and dual sequences, eigenvalues strictly decreasing."""
+    """Spectrum and dual sequences, eigenvalues strictly decreasing, with the
+    worst residuals that certified the projectors they fix."""
 
     theta: np.ndarray                # shape (d+1,), theta[0] = k
     mult: tuple[int, ...]            # m_0 = 1, sum = n
-    idempotents: list[np.ndarray]
     dual: np.ndarray                 # dual[j, h] = h-th dual eigenvalue for E_j
+    sizes: tuple[int, ...]           # sphere sizes k_0..k_d
+    dist: np.ndarray = field(repr=False)  # the distances E_j is assembled on
     n: int
     d: int
+    eigen_residual: float            # max_j ||A E_j - theta_j E_j||_max
+    idempotency_residual: float      # max_j ||E_j^2 - E_j||_max
+
+    def idempotent(self, j: int) -> np.ndarray:
+        """The dense projector E_j = dual[j][dist] / n."""
+        return (self.dual[j] / self.n)[self.dist]
 
 
 def compute_spectral_data(dd: DistanceData, ia: IntersectionData,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
-    """Full spectral pipeline with its internal cross-checks.
+    """Spectrum, dual sequences from the recurrence, and the certificate of
+    every assembled projector.
 
-    The multiplicities from the standard-sequence formula must agree with
-    the rounded projector traces; disagreement is a numerical failure.
+    Raises NumericalError naming j when E_j's eigen residual or idempotency
+    residual exceeds the matrix tolerance.
     """
     eps = tol.matrix_eps(ia.k)
     theta, mult = eigenvalues_from_intersection_array(ia, tol)
-    idempotents = primitive_idempotents(dd, theta, eps)
-    dual = np.empty((ia.d + 1, ia.d + 1))
-    for j, e in enumerate(idempotents):
-        tr = float(np.trace(e))
-        if abs(tr - mult[j]) > tol.mult_round * ia.n:
-            raise NumericalError(
-                f"trace of projector {j} is {tr}, expected multiplicity {mult[j]}")
-        dual[j] = dual_sequence_from_idempotent(e, dd, eps)
-    return SpectralData(theta, mult, idempotents, dual, ia.n, ia.d)
+    dual = np.array([m * standard_sequence(ia, float(t)) for t, m in zip(theta, mult)])
+    sd = SpectralData(theta, mult, dual, ia.sphere_sizes, dd.dist, ia.n, ia.d, 0.0, 0.0)
+    shifted = (dd.dist == 1).astype(np.float64)
+    for j, t in enumerate(theta):
+        e = sd.idempotent(j)
+        shifted.flat[::sd.n + 1] = -t  # A - theta_j I
+        eigen = float(np.abs(shifted @ e).max())
+        idem = inner_product_residual(e, dual[j], dd)
+        for name, resid in (("eigen", eigen), ("idempotency", idem)):
+            if resid > eps:
+                raise NumericalError(f"projector {j} {name} residual {resid:.3e} exceeds {eps:.3e}")
+        sd.eigen_residual = max(sd.eigen_residual, eigen)
+        sd.idempotency_residual = max(sd.idempotency_residual, idem)
+    return sd

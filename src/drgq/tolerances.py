@@ -15,7 +15,7 @@ class Tolerances:
     matrix_eps_base: float = 1e-8   # matrix residuals, scaled by max(1, k)
     eig_rel: float = 1e-12          # relative width for eigenvalue bisection
     integer_snap: float = 1e-6      # snap eigenvalues this close to integers
-    mult_round: float = 1e-6        # allowed |trace - integer|, scaled by n
+    mult_round: float = 1e-6        # allowed |multiplicity - integer|, scaled by n
     balanced_rel: float = 1e-6      # relative residual for the balanced-set sweep
     dual_zero_snap: float = 1e-9    # dual values this close to 0 count as 0
 

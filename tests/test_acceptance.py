@@ -31,7 +31,7 @@ def test_criterion_01_last_two_spheres_connected(bundles):
         if b.ia.d < 3 or not b.qpoly.is_qpoly:
             continue
         certified += 1
-        ok, flags = sweep_last_two(b.graph, b.dd, jobs=1)
+        ok, flags = sweep_last_two(b.graph, b.dd)
         bad = [gamma for gamma, f in enumerate(flags) if not f]
         assert ok, f"{name}: last two spheres disconnected at {bad}"
         assert len(flags) == b.graph.n
@@ -103,7 +103,7 @@ def test_criterion_06_inner_product_identity(bundles):
     for b in bundles.values():
         for j in range(b.ia.d + 1):
             worst = max(worst, inner_product_residual(
-                b.sd.idempotents[j], b.sd.dual[j], b.dd))
+                b.sd.idempotent(j), b.sd.dual[j], b.dd))
     assert worst < 1e-8
     print(f"criterion 6 projection inner products: PASS (max residual {worst:.2e})")
 
@@ -123,7 +123,7 @@ def test_criterion_07_three_way_consistency(bundles):
 def test_criterion_08_idempotent_algebra(bundles):
     worst = 0.0
     for name, b in bundles.items():
-        ems = b.sd.idempotents
+        ems = [b.sd.idempotent(j) for j in range(b.ia.d + 1)]
         n, d = b.graph.n, b.ia.d
         running = np.zeros((n, n))
         for i in range(d + 1):
@@ -151,7 +151,7 @@ def test_criterion_09_sign_change_tail(bundles):
                    if snapped[t - 1] > 0 and snapped[t] <= 0]
         assert matches == [s], f"{name}: sign pattern gives {matches}"
         assert 2 * s >= b.ia.d, f"{name}: s={s} below half of d={b.ia.d}"
-        ok, flags = sweep_tail(b.graph, b.dd, s, jobs=1)
+        ok, flags = sweep_tail(b.graph, b.dd, s)
         assert ok and len(flags) == b.graph.n, f"{name}: tail from {s} disconnected"
     print("criterion 9 sign-change tail connectivity: PASS (all graphs, every vertex)")
 

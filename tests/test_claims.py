@@ -1,6 +1,7 @@
 """The claim registry: one code path behind analyze, verify and catalogue,
 and verdicts that do not depend on how the vertices are labelled."""
 
+import dataclasses
 import json
 
 import pytest
@@ -63,6 +64,18 @@ def test_claims_carry_their_registry_name(bundles):
                 assert claim.check == name
                 seen.add(name)
     assert seen == set(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("name, residual, bound", [
+    ("dual_oracle", "eigen_residual", catalogue.DUAL_ORACLE_BOUND),
+    ("inner_product", "idempotency_residual", catalogue.EQ2_BOUND),
+])
+def test_recorded_residual_over_bound_fails(bundles, name, residual, bound):
+    b = bundles["petersen"]
+    assert CLAIMS[name](b).passed
+    worse = dataclasses.replace(b, sd=dataclasses.replace(b.sd, **{residual: 2 * bound}))
+    claim = CLAIMS[name](worse)
+    assert not claim.passed and claim.worst == 2 * bound
 
 
 def _relabel(g, perm):

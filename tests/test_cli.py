@@ -196,11 +196,8 @@ class TestMemoryPreflight:
     @pytest.mark.parametrize("spec, budget, stage, estimate", [
         ("hamming:4,2", 1000, "all-pairs distances on 16 vertices",
          memory.distance_bytes(16, 80)),
-        # passes the BFS estimate, refused before the d + 1 class matrices
-        ("cycle:20", memory.distance_bytes(20, 60),
-         "distance-class matrices on 20 vertices at diameter 10", memory.class_bytes(20, 10)),
         ("hamming:4,2", memory.distance_bytes(16, 80),
-         "the analysis of 16 vertices at diameter 4", memory.analysis_bytes(16, 4)),
+         "the analysis of 16 vertices at diameter 4", memory.analysis_bytes(16)),
     ])
     def test_refused_with_estimate(self, capsys, monkeypatch, spec, budget, stage, estimate):
         assert budget < estimate

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from drgq.connectivity import (dual_sign_change_index, last_two_connected,
                                odd_component_census, shell_connected, subconstituent,
-                               subconstituent_shape, sweep_last_two, sweep_tail,
-                               tail_connected, union_subconstituent)
+                               sweep_last_two, sweep_tail, tail_connected,
+                               union_subconstituent)
 from drgq.errors import MathAssertionError
 from drgq.families import build_family, cycle_graph, petersen_graph
 from drgq.graphs import (are_isomorphic, bipartite_double, build_graph,
@@ -151,7 +151,7 @@ class TestTail:
         assert not tail_connected(odd3.graph, odd3.dd, 0, 3)
 
     def test_sweep(self, odd3):
-        ok, flags = sweep_tail(odd3.graph, odd3.dd, 2, jobs=2)
+        ok, flags = sweep_tail(odd3.graph, odd3.dd, 2)
         assert ok and all(flags)
 
     def test_out_of_range(self, odd3):
@@ -202,19 +202,3 @@ class TestCensus:
         assert rec.count == 3 and rec.component_degree == 2
         assert rec.bipartite_halves_ok
 
-
-class TestShape:
-    def test_petersen_second_sphere_diameter(self, bundles):
-        b = bundles["petersen"]
-        for gamma in range(10):
-            shape = subconstituent_shape(b.graph, b.dd, gamma, 2)
-            assert shape.connected and shape.diameter <= 3
-
-    def test_disconnected_marker(self, odd3):
-        shape = subconstituent_shape(odd3.graph, odd3.dd, 0, 3)
-        assert not shape.connected and shape.diameter is None
-        assert shape.components == 3 and shape.regular_degree == 2
-
-    def test_center_point(self, odd3):
-        shape = subconstituent_shape(odd3.graph, odd3.dd, 0, 0)
-        assert shape.connected and shape.diameter == 0 and shape.vertices == 1

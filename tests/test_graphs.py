@@ -119,7 +119,7 @@ class TestDistanceData:
         dd = distance_data(g)
         reference = np.array([bfs_distances(g, src) for src in range(g.n)])
         assert (dd.dist == reference).all() and dd.diameter == reference.max()
-        assert sum(dd.distance_matrices).min() == 1
+        assert sum(dd.dist == h for h in range(dd.diameter + 1)).min() == 1
 
     def test_bfs_distances_beyond_int16(self):
         # a 16-bit distance wraps at 32768, and the wrapped negative value
@@ -158,8 +158,8 @@ class TestDistanceData:
     def test_distance_classes_partition(self, g):
         dd = distance_data(g)
         total = np.zeros((g.n, g.n), dtype=int)
-        for mat in dd.distance_matrices:
-            total += mat
+        for h in range(dd.diameter + 1):
+            total += dd.dist == h
         assert (total == 1).all()
         for gamma in range(g.n):
             assert sum(dd.sphere_sizes(gamma)) == g.n

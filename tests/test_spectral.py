@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drgq.catalogue import CATALOGUE
 from drgq.errors import NumericalError
 from drgq.families import build_family
 from drgq.graphs import distance_data
@@ -18,6 +19,7 @@ from drgq.spectral import (compute_spectral_data,
                            eigenvalues_from_intersection_array,
                            inner_product_residual, primitive_idempotents,
                            standard_sequence, tridiagonal_eigenvalues)
+from drgq.tolerances import DEFAULT_TOLERANCES
 
 SPECS = ("petersen", "cycle:6", "hamming:3,2", "hamming:3,3", "johnson:6,3",
          "folded_cube:5", "folded_cube:7", "odd:3", "complete:4")
@@ -98,28 +100,45 @@ class TestIdempotents:
         adjacency = g.adjacency_matrix().astype(float)
         total = np.zeros((n, n))
         for i in range(d + 1):
-            ei = sd.idempotents[i]
+            ei = sd.idempotent(i)
             total += ei
             assert np.abs(ei - ei.T).max() < 1e-12
             assert np.abs(adjacency @ ei - sd.theta[i] * ei).max() < 1e-8
             for j in range(d + 1):
-                product = ei @ sd.idempotents[j]
+                product = ei @ sd.idempotent(j)
                 expected = ei if i == j else 0.0
                 assert np.abs(product - expected).max() < 1e-8
         assert np.abs(total - np.eye(n)).max() < 1e-8
-        assert np.abs(sd.idempotents[0] - 1.0 / n).max() < 1e-8
+        assert np.abs(sd.idempotent(0) - 1.0 / n).max() < 1e-8
 
     def test_petersen_traces(self):
         _, dd, ia = pipeline("petersen")
         sd = compute_spectral_data(dd, ia)
-        assert round(np.trace(sd.idempotents[1])) == 5
-        assert round(np.trace(sd.idempotents[2])) == 4
+        assert round(np.trace(sd.idempotent(1))) == 5
+        assert round(np.trace(sd.idempotent(2))) == 4
 
     def test_tight_tolerance_fails_loudly(self):
         _, dd, ia = pipeline("petersen")
         theta, _ = eigenvalues_from_intersection_array(ia)
         with pytest.raises(NumericalError, match="idempotency"):
             primitive_idempotents(dd, theta, eps=1e-18)
+
+    @pytest.mark.parametrize("spec", CATALOGUE + ("hamming:8,2",))
+    def test_assembled_match_lagrange_reference(self, spec):
+        _, dd, ia = pipeline(spec)
+        sd = compute_spectral_data(dd, ia)
+        reference = primitive_idempotents(dd, sd.theta, DEFAULT_TOLERANCES.matrix_eps(ia.k))
+        for j, e in enumerate(reference):
+            assert np.abs(sd.idempotent(j) - e).max() < 1e-10
+        assert sd.eigen_residual < 1e-12 and sd.idempotency_residual < 1e-12
+
+    def test_foreign_array_fails_certificate(self):
+        # johnson:7,3 and odd:3 both have 35 vertices and diameter 3, but
+        # the odd graph's projectors are not those of the Johnson graph
+        _, dd, _ = pipeline("johnson:7,3")
+        _, _, ia = pipeline("odd:3")
+        with pytest.raises(NumericalError, match="projector 0 "):
+            compute_spectral_data(dd, ia)
 
 
 class TestDualSequences:
@@ -166,13 +185,13 @@ class TestInnerProductIdentity:
         _, dd, ia = pipeline(spec)
         sd = compute_spectral_data(dd, ia)
         for j in range(ia.d + 1):
-            assert inner_product_residual(sd.idempotents[j], sd.dual[j], dd) < 1e-8
+            assert inner_product_residual(sd.idempotent(j), sd.dual[j], dd) < 1e-8
 
     def test_direct_pair_comparison(self):
         # definition-level check on a handful of pairs, no matrix reformulation
         _, dd, ia = pipeline("odd:3")
         sd = compute_spectral_data(dd, ia)
-        e = sd.idempotents[1]
+        e = sd.idempotent(1)
         n = ia.n
         for x, y in ((0, 0), (0, 1), (0, 17), (3, 29), (12, 12)):
             inner = float(e[:, x] @ e[:, y])
