@@ -1,10 +1,14 @@
 """Distance-regularity verification and intersection numbers.
 
-The constancy property behind the numbers p^h_ij is checked exhaustively:
-the (i,j) product of distance-class matrices counts, at entry (x,y), the
-vertices at distance i from x and j from y, so a graph is distance-regular
-exactly when each such product is constant on every distance class.  On
-failure the witness names two same-distance pairs whose counts differ.
+A connected graph is distance-regular when, for every pair (x, y) at
+distance h, the numbers of neighbours of x at distance h-1, h and h+1 from
+y depend on h alone (Brouwer, Cohen and Neumaier, Distance-Regular Graphs,
+1989, 4.1).  Entry (x,y) of A A_j counts the neighbours of x at distance j
+from y, so the check is exhaustive with d+1 products: each must be
+constant on every distance class.  On failure the witness names two
+same-distance pairs whose counts differ.  The full p^h_ij tensor then
+follows from the certified array by the three-term recurrence
+A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, in exact integers.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import MathAssertionError
-from .graphs import DistanceData, Graph, two_coloring
+from .graphs import DistanceData, Graph
 
 
 @dataclass
@@ -24,8 +28,10 @@ class NotDRG:
 
     Pairs ``pair_a`` and ``pair_b`` are both at distance h, but they see
     different numbers of vertices at distance i from the first endpoint and
-    j from the second.  Reported violation is the lexicographically first
-    in (h, i, j, pair) order.
+    j from the second.  The check counts neighbours only, so i = 1; the
+    reported violation is the first in (h, j) order, and its pairs are the
+    first pair of class h and the first one whose count differs from it, in
+    row-major order.
     """
 
     h: int
@@ -66,9 +72,6 @@ class IntersectionData:
                 raise IndexError(f"index {name}={idx} outside 0..{self.d}")
         return int(self.p[h, i, j])
 
-    def intersection_array(self) -> str:
-        return "{" + ",".join(map(str, self.b)) + ";" + ",".join(map(str, self.c)) + "}"
-
 
 @dataclass
 class ClassificationFlags:
@@ -81,63 +84,55 @@ class ClassificationFlags:
 
 
 def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData, NotDRG]:
-    """Verify the pair-count constancy for every (h, i, j); exhaustive, not sampled."""
+    """Verify the neighbour-count constancy for every (h, j); exhaustive, not sampled."""
     d = dd.diameter
     n = g.n
     if d == 0:
         raise ValueError("a single-vertex graph has no intersection data")
-    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    first = None  # the smallest violating (h, i, j), i <= j, and its counts on class h
-    for i in range(d + 1):
-        # one float copy of A_i per i and of A_j per product, not d + 1 held at once
-        a_i = (dd.dist == i).astype(np.float64)
-        for j in range(i, d + 1):
-            # entry (x,y) = |distance-i ball around x hit by distance-j around y|
-            counts = a_i @ (dd.dist == j).astype(np.float64)
-            for h in range(d + 1):
-                vals = counts[dd.dist == h]
-                if vals.size == 0:
-                    continue
-                lo, hi = vals.min(), vals.max()
-                if lo == hi:
-                    p[h, i, j] = p[h, j, i] = int(lo)
-                elif first is None or (h, i, j) < first[0]:
-                    first = ((h, i, j), vals)
+    adj = (dd.dist == 1).astype(np.float64)
+    p1 = np.zeros((d + 1, d + 1), dtype=np.int64)  # p1[h, j] = p^h_1j
+    first = None  # the smallest violating (h, j), the index of its second pair and both counts
+    for j in range(d + 1):
+        counts = adj @ (dd.dist == j).astype(np.float64)
+        for h in range(d + 1):
+            vals = counts[dd.dist == h]
+            if vals.size == 0:
+                continue
+            lo, hi = vals.min(), vals.max()
+            if lo == hi:
+                p1[h, j] = int(lo)
+            elif first is None or (h, j) < first[:2]:
+                kdiff = int(np.argmax(vals != vals[0]))
+                first = (h, j, kdiff, int(vals[0]), int(vals[kdiff]))
+            del vals
+        del counts  # each freed before the next is made: three n x n floats at most
 
     if first is not None:
-        (h, i, j), vals = first
+        h, j, kdiff, count_a, count_b = first
         pairs = np.argwhere(dd.dist == h)  # row-major order = lexicographic pairs = order of vals
-        kdiff = int(np.nonzero(vals != vals[0])[0][0])
         (x0, y0), (x1, y1) = pairs[[0, kdiff]].tolist()
-        return NotDRG(h, i, j, (x0, y0), int(vals[0]), (x1, y1), int(vals[kdiff]))
+        return NotDRG(h, 1, j, (x0, y0), count_a, (x1, y1), count_b)
 
-    k = int(p[0, 1, 1])
-    sphere_sizes = tuple(int(p[0, i, i]) for i in range(d + 1))
-    b = tuple(int(p[i, 1, i + 1]) for i in range(d))
-    c = tuple(int(p[i, 1, i - 1]) for i in range(1, d + 1))
+    b = tuple(int(p1[i, i + 1]) for i in range(d))
+    c = tuple(int(p1[i, i - 1]) for i in range(1, d + 1))
     # a connected graph of diameter d that passed the constancy check cannot
     # have a stalled distance partition, but check it anyway
     if any(x <= 0 for x in b) or any(x <= 0 for x in c):
         raise MathAssertionError(f"degenerate intersection array b={b} c={c}")
-    return IntersectionData(d, k, n, p, b, c, sphere_sizes)
+    # L_i[h, j] = p^h_ij is the matrix of multiplication by A_i on the basis A_j
+    layers = [np.eye(d + 1, dtype=np.int64), p1]
+    for i in range(1, d):
+        nxt = p1 @ layers[i] - p1[i, i] * layers[i] - b[i - 1] * layers[i - 1]
+        layers.append(nxt // c[i])
+    p = np.stack(layers, axis=1)
+    sphere_sizes = tuple(int(p[0, i, i]) for i in range(d + 1))
+    return IntersectionData(d, b[0], n, p, b, c, sphere_sizes)
 
 
-def is_antipodal(dd: DistanceData) -> bool:
-    """Whether 'equal or at maximal distance' is an equivalence relation."""
-    d = dd.diameter
-    dist = dd.dist
-    for x in range(dist.shape[0]):
-        far = np.nonzero(dist[x] == d)[0]
-        if far.size <= 1:
-            continue
-        block = dist[np.ix_(far, far)]
-        off = block[~np.eye(far.size, dtype=bool)]
-        if off.size and (off != d).any():
-            return False
-    return True
-
-
-def classify(g: Graph, dd: DistanceData) -> ClassificationFlags:
-    """Bipartite via 2-coloring, antipodal via the executable relation test."""
-    return ClassificationFlags(bipartite=two_coloring(g) is not None,
-                               antipodal=is_antipodal(dd))
+def classify(ia: IntersectionData) -> ClassificationFlags:
+    """Bipartite when every a_h vanishes; antipodal when the vertices at
+    distance d from x other than y are all at distance d from y, that is
+    p^d_dd = k_d - 1, which makes 'equal or at distance d' an equivalence."""
+    d = ia.d
+    return ClassificationFlags(bipartite=not any(ia.a),
+                               antipodal=int(ia.p[d, d, d]) == ia.sphere_sizes[d] - 1)

@@ -13,10 +13,10 @@ import os
 from typing import Optional
 
 # n x n float64 arrays alive at once beside the distances: the regularity
-# check holds A_i, A_j and, while one product replaces the last, two count
-# matrices; certifying a projector holds A - theta I, E_j, a product and its
-# target; the int32 labels of the connectivity sweeps fit in the same room
-FLOAT_TEMPORARIES = 5
+# check holds A, A_j and their count matrix, the previous one freed first;
+# certifying a projector holds A - theta I, E_j and their product; the int32
+# labels of the connectivity sweeps fit in the same room
+FLOAT_TEMPORARIES = 3
 # the balanced-set sweep's batch buffers, sized by qpoly.BATCH_ENTRIES, not n
 BATCH_BUFFER_BYTES = 4 << 20
 # cgroup v2, then v1; a container's limit may sit far below physical memory

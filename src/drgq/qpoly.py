@@ -246,8 +246,7 @@ def qpoly_orderings(sd: SpectralData) -> list[list[int]]:
 # Krein-parameter oracle.
 # ---------------------------------------------------------------------------
 
-def krein_parameters(sd: SpectralData, tol: Tolerances = DEFAULT_TOLERANCES,
-                     k: Optional[float] = None) -> np.ndarray:
+def krein_parameters(sd: SpectralData, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """The tensor q^h_ij = n tr((E_i o E_j) E_h) / m_h, with a nonnegativity check.
 
     E_j takes the value dual[j, l] / n on the n k_l pairs at distance l, so
@@ -256,7 +255,7 @@ def krein_parameters(sd: SpectralData, tol: Tolerances = DEFAULT_TOLERANCES,
     dual = sd.dual
     q = np.einsum("l,il,jl,hl->hij", np.asarray(sd.sizes, dtype=np.float64), dual, dual, dual)
     q /= sd.n * np.asarray(sd.mult, dtype=np.float64)[:, None, None]
-    eps = tol.matrix_eps(k if k is not None else float(sd.theta[0]))
+    eps = tol.matrix_eps(float(sd.theta[0]))  # theta_0 = k exactly
     low = float(q.min())
     if low < -10 * eps:
         raise NumericalError(f"Krein parameter {low:.3e} is significantly negative")
@@ -332,7 +331,7 @@ def qpoly_report(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
     balanced = {e: balanced_set_check(dd, ia, sd, e, mode=mode, seed=seed, tol=tol)
                 for e in range(1, sd.d + 1)}
     span = qpoly_orderings(sd)
-    q = krein_parameters(sd, tol, k=ia.k)
+    q = krein_parameters(sd, tol)
     krein = krein_orderings(q)
 
     span_set = {o[1] for o in span}

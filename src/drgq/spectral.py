@@ -2,18 +2,20 @@
 
 Eigenvalues come from the (d+1)x(d+1) tridiagonal intersection matrix, not
 the full adjacency matrix: after a diagonal similarity it is symmetric with
-positive off-diagonals, so its eigenvalues are simple and a Sturm-count
-bisection brackets each one individually.  Values within snapping distance
-of an integer are rounded.
+positive off-diagonals sqrt(b_i c_{i+1}), so its eigenvalues are simple and
+LAPACK's symmetric solver returns them.  Values within snapping distance of
+an integer are rounded.
 
 The Bose-Mesner algebra is kept in its d+1 coordinates: the dual sequence
 of E_j is m_j times the standard sequence of theta_j, from the three-term
 recurrence, and E_j = dual[j][dist] / n is assembled on demand wherever a
-check needs actual vectors.  Each assembled E_j is certified once against
-the graph by its eigen residual ||A E_j - theta_j E_j|| and its idempotency
-residual ||E_j^2 - E_j||; as its trace is m_j and the m_j sum to n, that
+check needs actual vectors.  Each E_j is certified once: its eigen residual
+||A E_j - theta_j E_j|| against the graph, one dense product, and its
+idempotency residual ||E_j^2 - E_j|| in coordinates, from the p-tensor the
+regularity check certified.  As its trace is m_j and the m_j sum to n, that
 makes it the projector onto the theta_j-eigenspace.  The Lagrange product
-``primitive_idempotents`` is kept as the tests' reference.
+``primitive_idempotents`` and the dense ``inner_product_residual`` are kept
+as the tests' references.
 """
 
 from __future__ import annotations
@@ -26,62 +28,6 @@ from .errors import NumericalError
 from .graphs import DistanceData
 from .intersection import IntersectionData
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-
-def _sturm_count(alpha: np.ndarray, beta_sq: np.ndarray, x: float, pivmin: float) -> int:
-    """Number of eigenvalues of the symmetric tridiagonal matrix below x.
-
-    Sylvester inertia of the LDL^T pivots of (T - xI).  A vanishing pivot
-    (x hits an eigenvalue of a leading minor) is clamped to -pivmin and
-    counted as negative, keeping the count monotone in x.
-    """
-    count = 0
-    dprev = 1.0
-    for i in range(alpha.size):
-        d = alpha[i] - x
-        if i:
-            d -= beta_sq[i - 1] / dprev
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0:
-            count += 1
-        dprev = d
-    return count
-
-
-def tridiagonal_eigenvalues(alpha: np.ndarray, beta_sq: np.ndarray,
-                            rel_tol: float = 1e-12) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, ascending.
-
-    ``alpha`` holds the diagonal, ``beta_sq`` the squared off-diagonal.
-    Bisection on the Sturm count; each interval is shrunk to ``rel_tol``
-    relative width.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta_sq = np.asarray(beta_sq, dtype=np.float64)
-    m = alpha.size
-    radius = np.zeros(m)
-    if m > 1:
-        beta = np.sqrt(beta_sq)
-        radius[:-1] += beta
-        radius[1:] += beta
-    lo0 = float((alpha - radius).min()) - 1.0
-    hi0 = float((alpha + radius).max()) + 1.0
-    scale = max(1.0, abs(lo0), abs(hi0))
-    pivmin = 1e-300 * max(1.0, float(beta_sq.max(initial=0.0)))
-
-    out = np.empty(m)
-    for idx in range(m):
-        lo, hi = lo0, hi0
-        # invariant: count(lo) <= idx < count(hi)
-        while hi - lo > rel_tol * scale:
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(alpha, beta_sq, mid, pivmin) <= idx:
-                lo = mid
-            else:
-                hi = mid
-        out[idx] = 0.5 * (lo + hi)
-    return out
 
 
 def standard_sequence(ia: IntersectionData, theta: float) -> np.ndarray:
@@ -107,9 +53,9 @@ def eigenvalues_from_intersection_array(ia: IntersectionData,
     integers summing to n.
     """
     d = ia.d
-    alpha = np.array(ia.a, dtype=np.float64)
-    beta_sq = np.array([ia.b[i] * ia.c[i] for i in range(d)], dtype=np.float64)
-    theta = tridiagonal_eigenvalues(alpha, beta_sq, rel_tol=tol.eig_rel)[::-1].copy()
+    off = np.sqrt(np.array(ia.b, dtype=np.float64) * np.array(ia.c, dtype=np.float64))
+    tri = np.diag(np.array(ia.a, dtype=np.float64)) + np.diag(off, 1) + np.diag(off, -1)
+    theta = np.linalg.eigvalsh(tri)[::-1].copy()
 
     snapped = np.round(theta) + 0.0  # also normalizes -0.0
     close = np.abs(theta - snapped) < tol.integer_snap
@@ -194,24 +140,35 @@ class SpectralData:
         return (self.dual[j] / self.n)[self.dist]
 
 
+def idempotent_products(dual: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """E_i E_j in the basis of distance classes: entry [i, j, h] is its value
+    on the pairs at distance h, sum_ab dual[i,a] dual[j,b] p^h_ab / n^2."""
+    return np.einsum("ia,jb,hab->ijh", dual, dual, p) / (n * n)
+
+
 def compute_spectral_data(dd: DistanceData, ia: IntersectionData,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     """Spectrum, dual sequences from the recurrence, and the certificate of
     every assembled projector.
 
-    Raises NumericalError naming j when E_j's eigen residual or idempotency
-    residual exceeds the matrix tolerance.
+    The idempotency residual is read in d+1 coordinates from the certified
+    p-tensor: every distance class is nonempty, so the largest coordinate
+    of E_j^2 - E_j is its largest entry.  Raises NumericalError naming j
+    when E_j's eigen residual or idempotency residual exceeds the matrix
+    tolerance.
     """
     eps = tol.matrix_eps(ia.k)
     theta, mult = eigenvalues_from_intersection_array(ia, tol)
     dual = np.array([m * standard_sequence(ia, float(t)) for t, m in zip(theta, mult)])
     sd = SpectralData(theta, mult, dual, ia.sphere_sizes, dd.dist, ia.n, ia.d, 0.0, 0.0)
+    squares = np.diagonal(idempotent_products(dual, ia.p, ia.n)).T  # [j, h]: E_j^2
     shifted = (dd.dist == 1).astype(np.float64)
     for j, t in enumerate(theta):
-        e = sd.idempotent(j)
         shifted.flat[::sd.n + 1] = -t  # A - theta_j I
-        eigen = float(np.abs(shifted @ e).max())
-        idem = inner_product_residual(e, dual[j], dd)
+        prod = shifted @ sd.idempotent(j)
+        eigen = float(np.abs(prod, out=prod).max())
+        del prod  # freed before the next E_j is assembled: three n x n floats at most
+        idem = float(np.abs(squares[j] - dual[j] / ia.n).max())
         for name, resid in (("eigen", eigen), ("idempotency", idem)):
             if resid > eps:
                 raise NumericalError(f"projector {j} {name} residual {resid:.3e} exceeds {eps:.3e}")

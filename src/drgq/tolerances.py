@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Tolerances:
     matrix_eps_base: float = 1e-8   # matrix residuals, scaled by max(1, k)
-    eig_rel: float = 1e-12          # relative width for eigenvalue bisection
     integer_snap: float = 1e-6      # snap eigenvalues this close to integers
     mult_round: float = 1e-6        # allowed |multiplicity - integer|, scaled by n
     balanced_rel: float = 1e-6      # relative residual for the balanced-set sweep

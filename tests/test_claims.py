@@ -4,14 +4,17 @@ and verdicts that do not depend on how the vertices are labelled."""
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgq import catalogue
-from drgq.catalogue import CHECK_NAMES, CLAIMS, PER_GRAPH_CHECKS, make_bundle, run_catalogue
+from drgq.catalogue import (CATALOGUE, CHECK_NAMES, CLAIMS, PER_GRAPH_CHECKS, build_bundle,
+                            make_bundle, run_catalogue)
 from drgq.cli import SUITES, build_parser, main
 from drgq.connectivity import sweep_last_two, sweep_tail
+from drgq.errors import MathAssertionError
 from drgq.graphs import build_graph, distance_data
 
 # self-centred (every eccentricity is 3) but not vertex-transitive: the
@@ -76,6 +79,60 @@ def test_recorded_residual_over_bound_fails(bundles, name, residual, bound):
     worse = dataclasses.replace(b, sd=dataclasses.replace(b.sd, **{residual: 2 * bound}))
     claim = CLAIMS[name](worse)
     assert not claim.passed and claim.worst == 2 * bound
+
+
+def _raises_or_fails(claim, bundle):
+    try:
+        result = claim(bundle)
+    except MathAssertionError:
+        return True
+    return not result.passed
+
+
+def _bumped(array, cell, by=1):
+    array = array.copy()
+    array[cell] += by
+    return array
+
+
+@pytest.mark.parametrize("name, spec, alter", [
+    # p^4_(1,4) of odd:4 raised by one: the outer sphere would be 4-regular
+    ("sphere_valency", "odd:4", lambda b: {"ia": dataclasses.replace(
+        b.ia, p=_bumped(b.ia.p, (4, 1, 4)))}),
+    # b_1 lowered by one makes a_1 = 1: every first sphere would hold edges
+    ("folded_spheres", "folded_cube:7", lambda b: {"ia": dataclasses.replace(
+        b.ia, b=(b.ia.b[0], b.ia.b[1] - 1) + b.ia.b[2:])}),
+    # one dual coordinate of E_1 moved: E_1 is no longer idempotent
+    ("idempotents", "petersen", lambda b: {"sd": dataclasses.replace(
+        b.sd, dual=_bumped(b.sd.dual, (1, 1), 1e-3))}),
+    # E_1 dropped: the rest stay orthogonal idempotents but do not sum to I
+    ("idempotents", "petersen", lambda b: {"sd": dataclasses.replace(
+        b.sd, dual=b.sd.dual * (np.arange(3) != 1)[:, None])}),
+    # E_0 and E_1 swapped: a complete orthogonal set whose E_0 is not J/n
+    ("idempotents", "petersen", lambda b: {"sd": dataclasses.replace(
+        b.sd, dual=b.sd.dual[[1, 0, 2]])}),
+])
+def test_altered_coordinates_fail(bundles, name, spec, alter):
+    b = bundles[spec]
+    assert CLAIMS[name](b).passed
+    assert _raises_or_fails(CLAIMS[name], dataclasses.replace(b, **alter(b)))
+
+
+@pytest.mark.parametrize("spec", CATALOGUE + ("hamming:8,2",))
+def test_idempotents_claim_matches_dense_products(bundles, spec):
+    b = bundles[spec] if spec in bundles else build_bundle(spec)
+    sd, n = b.sd, b.graph.n
+    dense = float(np.abs(sd.idempotent(0) - 1.0 / n).max())
+    total = np.zeros((n, n))
+    for i in range(b.ia.d + 1):
+        e_i = sd.idempotent(i)
+        total += e_i
+        for j in range(b.ia.d + 1):
+            target = e_i if i == j else 0.0
+            dense = max(dense, float(np.abs(e_i @ sd.idempotent(j) - target).max()))
+    dense = max(dense, float(np.abs(total - np.eye(n)).max()))
+    claim = CLAIMS["idempotents"](b)
+    assert claim.passed and abs(claim.worst - dense) < 1e-12
 
 
 def _relabel(g, perm):

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from drgq.errors import MathAssertionError
+from drgq.catalogue import CATALOGUE
+from drgq.errors import DisconnectedGraphError, MathAssertionError
 from drgq.families import (build_family, complete_graph, cycle_graph,
                            hamming_graph, odd_graph, petersen_graph)
 from drgq.graphs import DistanceData, build_graph, distance_data
@@ -27,12 +30,12 @@ class TestCheckDistanceRegular:
     def test_petersen_array(self):
         _, ia = analyze(petersen_graph())
         assert isinstance(ia, IntersectionData)
-        assert ia.intersection_array() == "{3,2;1,1}"
+        assert (ia.b, ia.c) == ((3, 2), (1, 1))
         assert ia.d == 2 and ia.k == 3 and ia.n == 10
 
     def test_cycle6_array(self):
         _, ia = analyze(cycle_graph(6))
-        assert ia.intersection_array() == "{2,1,1;1,1,2}"
+        assert (ia.b, ia.c) == ((2, 1, 1), (1, 1, 2))
 
     def test_path_rejected_with_degree_witness(self):
         g = build_graph(3, [(0, 1), (1, 2)])
@@ -63,8 +66,9 @@ class TestCheckDistanceRegular:
         with pytest.raises(MathAssertionError, match="degenerate"):
             check_distance_regular(complete_graph(2), dd)
 
-    def test_tensor_matches_definition_on_sampled_pairs(self):
-        g = build_family("johnson:6,3")
+    @pytest.mark.parametrize("spec", CATALOGUE + ("hamming:8,2",))
+    def test_tensor_matches_definition_on_sampled_pairs(self, spec):
+        g = build_family(spec)
         dd, ia = analyze(g)
         rng = random.Random(5)
         for _ in range(50):
@@ -72,6 +76,46 @@ class TestCheckDistanceRegular:
             h = int(dd.dist[x, y])
             i, j = rng.randint(0, ia.d), rng.randint(0, ia.d)
             assert ia.intersection_number(h, i, j) == brute_force_count(dd, x, y, i, j)
+
+
+def edge_switched(g, rnd, switches):
+    """g after ``switches`` degree-preserving swaps {a,b},{c,e} -> {a,e},{c,b}."""
+    edges = {(u, v) for u in range(g.n) for v in g.neighbors[u] if u < v}
+    for _ in range(switches):
+        (a, b), (c, e) = rnd.sample(sorted(edges), 2)
+        if len({a, b, c, e}) < 4 or (min(a, e), max(a, e)) in edges \
+                or (min(c, b), max(c, b)) in edges:
+            continue
+        edges -= {(a, b), (c, e)}
+        edges |= {(min(a, e), max(a, e)), (min(c, b), max(c, b))}
+    return build_graph(g.n, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(("petersen", "cycle:6", "hamming:3,2", "johnson:6,3",
+                        "folded_cube:5", "odd:3")),
+       st.integers(min_value=1, max_value=4), st.randoms(use_true_random=False))
+def test_rejection_witness_is_first_neighbour_count(spec, switches, rnd):
+    g = edge_switched(build_family(spec), rnd, switches)
+    try:
+        dd, res = analyze(g)
+    except DisconnectedGraphError:
+        assume(False)
+    assume(isinstance(res, NotDRG))
+    assert res.i == 1 and res.count_a != res.count_b
+    assert dd.dist[res.pair_a] == dd.dist[res.pair_b] == res.h
+    assert brute_force_count(dd, *res.pair_a, 1, res.j) == res.count_a
+    assert brute_force_count(dd, *res.pair_b, 1, res.j) == res.count_b
+    # pair_a opens class h and pair_b is its first pair, row-major, to differ
+    pairs = [tuple(p) for p in np.argwhere(dd.dist == res.h).tolist()]
+    assert pairs[0] == res.pair_a
+    before = pairs[:pairs.index(res.pair_b)]
+    assert all(brute_force_count(dd, x, y, 1, res.j) == res.count_a for x, y in before)
+    # no smaller (h, 1, j) cell is violated
+    for h in range(res.h + 1):
+        cls = np.argwhere(dd.dist == h).tolist()
+        for j in range(dd.diameter + 1 if h < res.h else res.j):
+            assert len({brute_force_count(dd, x, y, 1, j) for x, y in cls}) == 1
 
 
 class TestIntersectionData:
@@ -124,39 +168,50 @@ class TestIntersectionData:
         assert all(x > 0 for x in ia.b) and all(x > 0 for x in ia.c)
 
 
+def reference_flags(g, dd):
+    """Bipartite by the parity 2-colouring from vertex 0; antipodal when the
+    relation 'equal or at distance d' is transitive."""
+    parity = dd.dist[0] % 2
+    bipartite = all(parity[u] != parity[v] for u in range(g.n) for v in g.neighbors[u])
+    rel = ((dd.dist == 0) | (dd.dist == dd.diameter)).astype(np.int64)
+    antipodal = bool(((rel @ rel > 0) <= (rel > 0)).all())
+    return bipartite, antipodal
+
+
 class TestClassify:
     def test_cube_bipartite_antipodal(self):
-        g = hamming_graph(3, 2)
-        dd, ia = analyze(g)
-        flags = classify(g, dd)
+        _, ia = analyze(hamming_graph(3, 2))
+        flags = classify(ia)
         assert flags.bipartite and flags.antipodal and not flags.primitive
 
     def test_petersen_primitive(self):
-        g = petersen_graph()
-        dd, _ = analyze(g)
-        flags = classify(g, dd)
+        _, ia = analyze(petersen_graph())
+        flags = classify(ia)
         assert not flags.bipartite and not flags.antipodal and flags.primitive
 
     def test_cycle6_bipartite_antipodal(self):
-        g = cycle_graph(6)
-        dd, _ = analyze(g)
-        flags = classify(g, dd)
+        _, ia = analyze(cycle_graph(6))
+        flags = classify(ia)
         assert flags.bipartite and flags.antipodal
 
     def test_odd_graphs_primitive(self):
         for d in (2, 3, 4):
-            g = odd_graph(d)
-            dd, _ = analyze(g)
-            assert classify(g, dd).primitive
+            _, ia = analyze(odd_graph(d))
+            assert classify(ia).primitive
 
     def test_folded_cube7_primitive(self):
-        g = build_family("folded_cube:7")
-        dd, _ = analyze(g)
-        flags = classify(g, dd)
+        _, ia = analyze(build_family("folded_cube:7"))
+        flags = classify(ia)
         assert not flags.bipartite and not flags.antipodal
 
     def test_complete_graph_antipodal_not_bipartite(self):
-        g = complete_graph(4)
-        dd, _ = analyze(g)
-        flags = classify(g, dd)
+        _, ia = analyze(complete_graph(4))
+        flags = classify(ia)
         assert flags.antipodal and not flags.bipartite
+
+    @pytest.mark.parametrize("spec", CATALOGUE + ("cycle:7", "complete:5"))
+    def test_matches_reference(self, spec):
+        g = build_family(spec)
+        dd, ia = analyze(g)
+        flags = classify(ia)
+        assert (flags.bipartite, flags.antipodal) == reference_flags(g, dd)

@@ -242,7 +242,7 @@ class TestOrderings:
 class TestKreinOracle:
     def test_zeroth_slice_is_diagonal_multiplicities(self, small):
         for b in small.values():
-            q = krein_parameters(b.sd, k=b.ia.k)
+            q = krein_parameters(b.sd)
             d = b.ia.d
             for i in range(d + 1):
                 for j in range(d + 1):
@@ -252,7 +252,7 @@ class TestKreinOracle:
     def test_closed_form_matches_dense_definition(self, bundles):
         # q^h_ij = n tr((E_i o E_j) E_h) / m_h on the dense projectors
         for b in bundles.values():
-            q = krein_parameters(b.sd, k=b.ia.k)
+            q = krein_parameters(b.sd)
             ems = [b.sd.idempotent(j) for j in range(b.ia.d + 1)]
             for h, i, j in np.ndindex(q.shape):
                 dense = b.graph.n * float(np.sum(ems[i] * ems[j] * ems[h])) / b.sd.mult[h]
@@ -260,18 +260,18 @@ class TestKreinOracle:
 
     def test_nonnegativity(self, bundles):
         for b in bundles.values():
-            q = krein_parameters(b.sd, k=b.ia.k)
+            q = krein_parameters(b.sd)
             assert q.min() > -1e-8
 
     def test_cube_tridiagonal_pattern(self, small):
         b = small["hamming:3,2"]
-        q = krein_parameters(b.sd, k=b.ia.k)
+        q = krein_parameters(b.sd)
         assert abs(q[1, 1, 3]) < 1e-8
         assert q[1, 1, 2] > 1e-3
 
     def test_krein_orderings_match_span(self, bundles):
         for b in bundles.values():
-            q = krein_parameters(b.sd, k=b.ia.k)
+            q = krein_parameters(b.sd)
             assert sorted(krein_orderings(q)) == sorted(qpoly_orderings(b.sd))
 
 

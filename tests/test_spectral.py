@@ -1,14 +1,13 @@
 """Spectral pipeline: eigensolver, projectors, duals, and their oracles.
 
-The tridiagonal solver is checked against numpy's symmetric eigensolver,
-the full spectra against the adjacency matrix spectrum, and the dual
-sequences against an inline three-term recurrence written from scratch.
+The spectra are checked against closed forms and the adjacency matrix
+spectrum, the dual sequences against an inline three-term recurrence
+written from scratch, and the coordinate idempotency residual against the
+dense product.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from drgq.catalogue import CATALOGUE
 from drgq.errors import NumericalError
@@ -18,7 +17,7 @@ from drgq.intersection import IntersectionData, check_distance_regular
 from drgq.spectral import (compute_spectral_data,
                            eigenvalues_from_intersection_array,
                            inner_product_residual, primitive_idempotents,
-                           standard_sequence, tridiagonal_eigenvalues)
+                           standard_sequence)
 from drgq.tolerances import DEFAULT_TOLERANCES
 
 SPECS = ("petersen", "cycle:6", "hamming:3,2", "hamming:3,3", "johnson:6,3",
@@ -42,26 +41,6 @@ def recurrence_dual(ia, theta, m):
     return np.array(u[:ia.d + 1]) * m
 
 
-class TestTridiagonalSolver:
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(min_value=1, max_value=9), st.randoms(use_true_random=False))
-    def test_matches_numpy(self, m, rnd):
-        alpha = np.array([rnd.uniform(-5, 5) for _ in range(m)])
-        beta_sq = np.array([rnd.uniform(0.01, 9) for _ in range(m - 1)])
-        ours = tridiagonal_eigenvalues(alpha, beta_sq)
-        t = np.diag(alpha)
-        if m > 1:
-            beta = np.sqrt(beta_sq)
-            t += np.diag(beta, 1) + np.diag(beta, -1)
-        theirs = np.linalg.eigvalsh(t)
-        assert np.allclose(ours, theirs, atol=1e-9)
-
-    def test_exact_integer_spectrum(self):
-        # diag 0, off-diagonals (sqrt2, 1, sqrt2) has spectrum -2,-1,1,2
-        eigs = tridiagonal_eigenvalues(np.zeros(4), np.array([2.0, 1.0, 2.0]))
-        assert np.allclose(eigs, [-2, -1, 1, 2], atol=1e-10)
-
-
 class TestEigenvalues:
     @pytest.mark.parametrize("spec,theta,mult", [
         ("petersen", (3, 1, -2), (1, 5, 4)),
@@ -75,6 +54,14 @@ class TestEigenvalues:
         t, m = eigenvalues_from_intersection_array(ia)
         assert np.allclose(t, theta, atol=1e-9)
         assert m == mult
+
+    @pytest.mark.parametrize("n", (7, 9))
+    def test_odd_cycle_closed_form(self, n):
+        _, _, ia = pipeline(f"cycle:{n}")
+        theta, mult = eigenvalues_from_intersection_array(ia)
+        exact = 2 * np.cos(2 * np.pi * np.arange(ia.d + 1) / n)
+        assert np.abs(theta - exact).max() < 1e-14
+        assert mult == (1,) + (2,) * ia.d
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_adjacency_spectrum(self, spec):
@@ -131,6 +118,14 @@ class TestIdempotents:
         for j, e in enumerate(reference):
             assert np.abs(sd.idempotent(j) - e).max() < 1e-10
         assert sd.eigen_residual < 1e-12 and sd.idempotency_residual < 1e-12
+
+    @pytest.mark.parametrize("spec", CATALOGUE + ("hamming:8,2",))
+    def test_coordinate_idempotency_matches_dense(self, spec):
+        _, dd, ia = pipeline(spec)
+        sd = compute_spectral_data(dd, ia)
+        dense = max(inner_product_residual(sd.idempotent(j), sd.dual[j], dd)
+                    for j in range(ia.d + 1))
+        assert abs(sd.idempotency_residual - dense) < 1e-12
 
     def test_foreign_array_fails_certificate(self):
         # johnson:7,3 and odd:3 both have 35 vertices and diameter 3, but
