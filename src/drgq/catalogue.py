@@ -147,7 +147,7 @@ def census(b: Bundle) -> Optional[Claim]:
     """Odd graphs: the outer sphere splits into the predicted components."""
     if not _is_odd(b) or b.ia.d < 3:
         return None
-    rec = odd_component_census(b.family.params[0], all_vertices=True, graph=b.graph, dd=b.dd)
+    rec = odd_component_census(b.graph, b.dd)
     return Claim("census", True,
                  f"{rec.count} components of size {rec.expected_size}, "
                  f"iso x{rec.iso_components}, {rec.vertices_checked} vertices", census=rec)

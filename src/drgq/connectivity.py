@@ -7,30 +7,31 @@ is connected, and the d-th subconstituent of the odd graphs splits into
 the predicted number of bipartite-double components.  The checks cover
 every base vertex; vertex transitivity is never assumed.
 
-One kernel, ``shell_connected``, decides for every base vertex gamma at
-once whether the spheres lo..hi about gamma induce a connected subgraph.
-It holds a label per (vertex, base vertex) pair, masked by the shell, and
-alternates neighbor-minimum steps with pointer jumping (Shiloach-Vishkin
-style) until no label changes; each shell component then carries its
-smallest vertex.  The per-vertex functions (``last_two_connected``,
-``tail_connected``, ``union_subconstituent``) remain as the reference the
-tests compare it against.
+One kernel, ``shell_labels``, labels the components of a shell about
+every base vertex of a block at once.  It holds a label per (vertex, base
+vertex) pair, masked by the shell, and alternates neighbor-minimum steps
+with pointer jumping (Shiloach-Vishkin style) until no label changes; each
+shell component then carries its smallest vertex.  ``shell_connected``
+counts those roots for every connectivity sweep, and the odd-graph census
+reads its component counts, sizes and bipartitions from the same labels,
+on g and on its bipartite double.  The per-vertex functions
+(``last_two_connected``, ``tail_connected``, ``union_subconstituent``)
+remain as the reference the tests compare it against.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 import numpy as np
 
 from .errors import MathAssertionError
-from .families import disjoint_subset_graph, odd_graph
-from .graphs import (DistanceData, Graph, are_isomorphic, bipartite_double,
-                     connected_components, distance_data, induced_subgraph,
-                     two_coloring)
+# odd_graph is unused here, but the benchmark worker times it under this name
+from .families import disjoint_subset_graph, odd_graph  # noqa: F401
+from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, are_isomorphic,
+                     bipartite_double, connected_components, induced_subgraph)
 
 log = logging.getLogger(__name__)
 
@@ -96,25 +97,21 @@ def tail_connected(g: Graph, dd: DistanceData, gamma: int, s: int) -> bool:
     return len(connected_components(sub)) == 1
 
 
-def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
-    """Per base vertex gamma, whether the spheres lo..hi about gamma induce a
-    connected subgraph (an empty shell counts as disconnected).
+def shell_labels(nbr: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Component labels of shells, one shell per column of ``inside``.
 
-    Exhaustive over base vertices: row v, column gamma of the label array
-    holds the smallest vertex known to share v's component in gamma's shell,
-    and n off the shell.  Row n holds n, so a jump from an off-shell entry
-    stays off it.  A round gathers over the padded neighbor array, n^2 times
-    the maximum degree: n * 2m on the regular graphs the sweeps run on.
+    ``nbr`` is a padded neighbor array (``Graph.neighbor_array``) and
+    ``inside[v, c]`` says whether v lies in shell c.  Entry [v, c] of the
+    result is the smallest vertex of v's component in shell c, and n (the
+    row count) off it.  Row n of the working array holds n, so a jump from an
+    off-shell entry stays off it.  A round gathers over the neighbor array,
+    rows times columns times the maximum degree.
     """
-    if not 0 <= lo <= hi <= dd.diameter:
-        raise IndexError(f"shell {lo}..{hi} outside 0..{dd.diameter}")
-    n = g.n
-    nbr = g.neighbor_array()
-    inside = (dd.dist >= lo) & (dd.dist <= hi)  # symmetric, so [v, gamma] too
+    n, width = inside.shape
     off_shell = np.where(inside, 0, n).astype(np.int32)
-    labels = np.full((n + 1, n), n, dtype=np.int32)
+    labels = np.full((n + 1, width), n, dtype=np.int32)
     np.copyto(labels[:n], np.arange(n, dtype=np.int32)[:, None], where=inside)
-    gathered = np.empty((n, n), dtype=np.int32)
+    gathered = np.empty((n, width), dtype=np.int32)
     while True:
         new = labels.copy()
         body = new[:n]
@@ -123,10 +120,25 @@ def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
         np.maximum(body, off_shell, out=body)
         new = np.take_along_axis(new, new, axis=0)
         if np.array_equal(new, labels):
-            break
+            return labels[:n]
         labels = new
+
+
+def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
+    """Per base vertex gamma, whether the spheres lo..hi about gamma induce a
+    connected subgraph (an empty shell counts as disconnected).
+
+    Exhaustive over base vertices: column gamma of ``shell_labels`` holds the
+    labels of gamma's shell, and the shell is connected when exactly one
+    vertex is its own label.  On the regular graphs the sweeps run on a round
+    costs n * 2m.
+    """
+    if not 0 <= lo <= hi <= dd.diameter:
+        raise IndexError(f"shell {lo}..{hi} outside 0..{dd.diameter}")
+    inside = (dd.dist >= lo) & (dd.dist <= hi)  # symmetric, so [v, gamma] too
+    labels = shell_labels(g.neighbor_array(), inside)
     # one root, the component's smallest vertex, per shell component
-    roots = labels[:n] == np.arange(n)[:, None]
+    roots = labels == np.arange(g.n)[:, None]
     return roots.sum(axis=0) == 1
 
 
@@ -163,7 +175,11 @@ class CensusRecord:
     iso_skipped: bool            # True when components were too big to certify
     bipartite_halves_ok: bool
     vertices_checked: int
-    failures: list[str] = field(default_factory=list)
+
+
+# label entries per census block of base vertices: the sphere labels and
+# their bipartite lift stay a few hundred KiB whatever n is
+CENSUS_BLOCK_ENTRIES = 1 << 15
 
 
 def _odd_core(r: int) -> Graph:
@@ -173,79 +189,95 @@ def _odd_core(r: int) -> Graph:
     return disjoint_subset_graph(2 * r + 1, r, f"odd-core:{r}")
 
 
-def odd_component_census(d: int, all_vertices: bool = True, iso_cap: int = 64,
-                         graph: Optional[Graph] = None,
-                         dd: Optional[DistanceData] = None) -> CensusRecord:
-    """Census of the components of the d-th subconstituent of the odd graph.
+def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
+    """Census of the components of the d-th subconstituent of the odd graph
+    g of order d = dd.diameter, at every base vertex.
 
-    Checks the component count binom(2m, m)/2 and the common component size
-    2 binom(2r+1, r); when components are small enough, certifies each one
-    isomorphic to the bipartite double of the order-r odd-graph core.  The
-    record reports the lexicographically first base vertex; with
-    ``all_vertices`` every base vertex is verified (isomorphism included,
-    unless the ambient graph is large, in which case isomorphism runs only
-    at the first vertex).  ``graph`` and ``dd`` are the odd graph of order
-    d and its distances when the caller already holds them; otherwise they
-    are built here.
+    Checks the component count binom(2m, m)/2, the common component size
+    2 binom(2r+1, r), the within-sphere valency and that every component is
+    bipartite with equal halves.  Components come from ``shell_labels`` on
+    the spheres of a block of base vertices; bipartiteness from the same
+    kernel on the bipartite double of g with the doubled mask: a component
+    is bipartite iff its root's two copies lie in different lifted
+    components, and its halves are equal iff the root's lift holds as many
+    layer-0 as layer-1 vertices.  When components are at most
+    ``ISO_VERTEX_CAP`` vertices, each is certified isomorphic to the
+    bipartite double of the order-r odd-graph core: at every base vertex
+    when n <= 200, otherwise at vertex 0.  The record reports vertex 0.
 
-    Raises MathAssertionError when any assertion fails.
+    Raises MathAssertionError naming the first failures.
     """
+    d = dd.diameter
     if d < 3:
         raise ValueError(f"census needs d >= 3, got {d}")
-    g = odd_graph(d) if graph is None else graph
-    dd = distance_data(g) if dd is None else dd
-    m = d // 2 if d % 2 == 0 else (d + 1) // 2
-    r = d // 2 if d % 2 == 0 else (d - 1) // 2
+    n = g.n
+    m, r = (d + 1) // 2, d // 2
     expected_count = comb(2 * m, m) // 2
     expected_size = 2 * comb(2 * r + 1, r)
     expected_sphere = comb(d, m) * comb(d + 1, m)
 
     expected_degree = (d + 2) // 2  # the outer sphere's regular valency
-    iso_possible = expected_size <= iso_cap
-    iso_every_vertex = iso_possible and g.n <= 200
+    iso_possible = expected_size <= ISO_VERTEX_CAP
+    iso_every_vertex = iso_possible and n <= 200
     reference = bipartite_double(_odd_core(r)) if iso_possible else None
 
-    gammas = range(g.n) if all_vertices else range(1)
+    vertex = np.arange(n)
+    nbr = g.neighbor_array()
+    real = nbr != vertex[:, None]  # the padding repeats the row's own vertex
+    lift_nbr = bipartite_double(g).neighbor_array()
+    width = max(1, CENSUS_BLOCK_ENTRIES // n)
     failures: list[str] = []
     first_sizes: list[int] = []
     first_count = 0
     iso_done = 0
-    halves_ok = True
 
-    for gamma in gammas:
-        sphere = dd.sphere(gamma, d)
-        if sphere.size != expected_sphere:
-            failures.append(f"gamma={gamma}: sphere size {sphere.size} != {expected_sphere}")
-            continue
-        sub, _ = induced_subgraph(g, sphere)
-        comps = connected_components(sub)
-        sizes = sorted(len(c) for c in comps)
-        if gamma == 0:
-            first_count = len(comps)
-            first_sizes = sizes
-        if len(comps) != expected_count:
-            failures.append(f"gamma={gamma}: {len(comps)} components, expected {expected_count}")
-        if set(sizes) != {expected_size}:
-            failures.append(f"gamma={gamma}: component sizes {sizes}, expected all {expected_size}")
-            continue
-        for ci, comp in enumerate(comps):
-            comp_graph = induced_subgraph(sub, comp).graph
-            degrees = set(comp_graph.degrees())
-            if degrees != {expected_degree}:
+    for start in range(0, n, width):
+        inside = dd.dist[:, start:start + width] == d
+        labels = shell_labels(nbr, inside)
+        lifts = shell_labels(lift_nbr, np.vstack([inside, inside]))
+        degrees = (inside[nbr] & real[:, :, None]).sum(axis=1)
+        for c in range(inside.shape[1]):
+            gamma = start + c
+            sphere_size = int(inside[:, c].sum())
+            if sphere_size != expected_sphere:
+                failures.append(f"gamma={gamma}: sphere size {sphere_size} != {expected_sphere}")
+                continue
+            comp = labels[:, c]
+            roots = np.flatnonzero(comp == vertex)  # components by smallest vertex
+            sizes = sorted(np.bincount(comp, minlength=n + 1)[roots].tolist())
+            if gamma == 0:
+                first_count = roots.size
+                first_sizes = sizes
+            if roots.size != expected_count:
                 failures.append(
-                    f"gamma={gamma} component {ci}: degrees {sorted(degrees)}, "
-                    f"expected {expected_degree}-regular")
-            coloring = two_coloring(comp_graph)
-            if coloring is None or coloring.count(0) != coloring.count(1):
-                halves_ok = False
-                failures.append(f"gamma={gamma} component {ci}: not bipartite with equal halves")
-            if reference is not None and (iso_every_vertex or gamma == 0):
-                ok, _ = are_isomorphic(comp_graph, reference, cap=iso_cap)
-                if not ok:
+                    f"gamma={gamma}: {roots.size} components, expected {expected_count}")
+            if set(sizes) != {expected_size}:
+                failures.append(
+                    f"gamma={gamma}: component sizes {sizes}, expected all {expected_size}")
+                continue
+            off_degree = set(comp[inside[:, c] & (degrees[:, c] != expected_degree)].tolist())
+            lift = lifts[:, c]
+            lift_root = lift[roots]
+            layer0 = np.bincount(lift[:n], minlength=2 * n + 1)[lift_root]
+            layer1 = np.bincount(lift[n:], minlength=2 * n + 1)[lift_root]
+            halves = ((lift_root != lift[n + roots]) & (layer0 == layer1)).tolist()
+            for ci, root in enumerate(roots.tolist()):
+                if root in off_degree:
+                    found = sorted(set(degrees[comp == root, c].tolist()))
                     failures.append(
-                        f"gamma={gamma} component {ci}: not isomorphic to the bipartite double")
-                else:
-                    iso_done += 1
+                        f"gamma={gamma} component {ci}: degrees {found}, "
+                        f"expected {expected_degree}-regular")
+                if not halves[ci]:
+                    failures.append(
+                        f"gamma={gamma} component {ci}: not bipartite with equal halves")
+                if reference is not None and (iso_every_vertex or gamma == 0):
+                    comp_graph = induced_subgraph(g, np.flatnonzero(comp == root)).graph
+                    ok, _ = are_isomorphic(comp_graph, reference)
+                    if not ok:
+                        failures.append(
+                            f"gamma={gamma} component {ci}: not isomorphic to the bipartite double")
+                    else:
+                        iso_done += 1
 
     record = CensusRecord(
         d=d, expected_count=expected_count, expected_size=expected_size,
@@ -253,8 +285,7 @@ def odd_component_census(d: int, all_vertices: bool = True, iso_cap: int = 64,
         component_degree=expected_degree,
         iso_certified=iso_done > 0,
         iso_components=iso_done, iso_skipped=not iso_possible,
-        bipartite_halves_ok=halves_ok, vertices_checked=len(list(gammas)),
-        failures=failures)
+        bipartite_halves_ok=True, vertices_checked=n)  # a failure raises below
     if failures:
         raise MathAssertionError(
             "odd-graph census failed:\n  " + "\n  ".join(failures[:20]))

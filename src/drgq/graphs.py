@@ -15,7 +15,7 @@ model is consulted before anything of size n x n is allocated.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -287,43 +287,25 @@ def bipartite_double(g: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism testing: distance-partition refinement, then backtracking.
-# Intended for small components (census certification); refuses above the cap.
+# Isomorphism testing: colour refinement of both graphs in one palette, then
+# backtracking within colour classes.  A colour means the same in g and h,
+# so an isomorphism preserves it.  Intended for small components (census
+# certification); refuses above the cap.
 # ---------------------------------------------------------------------------
 
-def _distance_profiles(g: Graph) -> list[tuple]:
-    """Per-vertex invariant: histogram of BFS distances (with an unreachable bucket)."""
-    profiles = []
-    for v in range(g.n):
-        row = bfs_distances(g, v)
-        hist: dict[int, int] = {}
-        for dv in row.tolist():
-            hist[dv] = hist.get(dv, 0) + 1
-        profiles.append(tuple(sorted(hist.items())))
-    return profiles
-
-
-def _refine_colors(g: Graph, init: list) -> list[int]:
-    """Iterative neighborhood color refinement until the partition stabilizes."""
-    palette: dict = {}
-    colors = []
-    for key in init:
-        if key not in palette:
-            palette[key] = len(palette)
-        colors.append(palette[key])
+def _joint_colors(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
+    """Stable colours of g and h, refined together from the degrees."""
+    colors = g.degrees() + h.degrees()
+    neighbors = g.neighbors + tuple(tuple(g.n + w for w in nb) for nb in h.neighbors)
+    classes = len(set(colors))
     while True:
-        sigs = []
-        for v in range(g.n):
-            sigs.append((colors[v], tuple(sorted(colors[w] for w in g.neighbors[v]))))
-        palette = {}
-        new = []
-        for key in sigs:
-            if key not in palette:
-                palette[key] = len(palette)
-            new.append(palette[key])
-        if new == colors:
-            return colors
-        colors = new
+        signatures = [(colors[v], tuple(sorted(colors[w] for w in nb)))
+                      for v, nb in enumerate(neighbors)]
+        palette: dict = {}
+        colors = [palette.setdefault(sig, len(palette)) for sig in signatures]
+        if len(palette) == classes:
+            return colors[:g.n], colors[g.n:]
+        classes = len(palette)
 
 
 def _verify_mapping(g: Graph, h: Graph, perm: list[int]) -> bool:
@@ -347,31 +329,13 @@ def are_isomorphic(g: Graph, h: Graph, cap: int = ISO_VERTEX_CAP
     """
     if g.n > cap or h.n > cap:
         raise ValueError(f"isomorphism search refused above {cap} vertices")
-    if g.n != h.n or g.num_edges != h.num_edges:
+    cg, ch = _joint_colors(g, h)
+    if Counter(cg) != Counter(ch):
         return False, None
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False, None
-
-    cg = _refine_colors(g, [(d, p) for d, p in zip(g.degrees(), _distance_profiles(g))])
-    ch = _refine_colors(h, [(d, p) for d, p in zip(h.degrees(), _distance_profiles(h))])
-    # refined color classes must match as multisets; relabel h's colors to g's
-    # by matching class signatures (degree histograms within each class)
-    def class_sig(graph, colors, c):
-        members = [v for v in range(graph.n) if colors[v] == c]
-        return (len(members), tuple(sorted(graph.degree(v) for v in members)))
-
-    gsig = sorted(class_sig(g, cg, c) for c in set(cg))
-    hsig = sorted(class_sig(h, ch, c) for c in set(ch))
-    if gsig != hsig:
-        return False, None
-
-    # candidate targets per g-vertex: h-vertices whose refined class looks alike
-    hclasses: dict = {}
-    for v in range(h.n):
-        hclasses.setdefault(class_sig(h, ch, ch[v]), []).append(v)
-    candidates = [hclasses.get(class_sig(g, cg, cg[v]), []) for v in range(g.n)]
-    if any(not c for c in candidates):
-        return False, None
+    hclasses: dict[int, list[int]] = {}
+    for v, c in enumerate(ch):
+        hclasses.setdefault(c, []).append(v)
+    candidates = [hclasses[c] for c in cg]
 
     # order: smallest candidate set first, then prefer vertices adjacent to
     # already-placed ones so adjacency constraints bite early

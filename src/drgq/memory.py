@@ -15,7 +15,7 @@ from typing import Optional
 # n x n float64 arrays alive at once beside the distances: the regularity
 # check holds A, A_j and their count matrix, the previous one freed first;
 # certifying a projector holds A - theta I, E_j and their product; the int32
-# labels of the connectivity sweeps fit in the same room
+# labels of the connectivity sweeps and of the census's blocks fit in the same room
 FLOAT_TEMPORARIES = 3
 # the balanced-set sweep's batch buffers, sized by qpoly.BATCH_ENTRIES, not n
 BATCH_BUFFER_BYTES = 4 << 20

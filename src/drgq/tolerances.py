@@ -7,6 +7,7 @@ aggregates up to a sphere's worth of summands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -22,9 +23,12 @@ class Tolerances:
         return self.matrix_eps_base * max(1.0, k)
 
     def with_override(self, tolerance: float | None) -> "Tolerances":
-        """CLI knob: one value overrides both residual thresholds."""
+        """CLI knob: one value overrides both residual thresholds.  It must be
+        finite and positive: NaN and inf pass every residual, 0 fails all."""
         if tolerance is None:
             return self
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"--tolerance must be a finite positive number, got {tolerance}")
         return replace(self, matrix_eps_base=tolerance, balanced_rel=tolerance)
 
 

@@ -43,7 +43,8 @@ def test_criterion_01_last_two_spheres_connected(bundles):
 def test_criterion_02_odd_graph_census(bundles):
     expected = {3: (3, 6), 4: (3, 20), 5: (10, 20)}
     for d, (count, size) in expected.items():
-        rec = odd_component_census(d, all_vertices=True)
+        b = bundles[f"odd:{d}"]
+        rec = odd_component_census(b.graph, b.dd)
         assert rec.count == count and rec.component_sizes == [size] * count
         assert rec.vertices_checked == bundles[f"odd:{d}"].graph.n
         assert rec.bipartite_halves_ok

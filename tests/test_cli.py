@@ -220,6 +220,16 @@ class TestMemoryPreflight:
         assert memory.available_memory() == 4096
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "0", "-1"))
+@pytest.mark.parametrize("argv", (("analyze", "odd:3"),
+                                  ("verify", "qpoly-consistency", "hamming:3,3"),
+                                  ("catalogue",)))
+def test_unusable_tolerance_refused(capsys, argv, value):
+    code, out, err = run(capsys, *argv, "--tolerance", value)
+    assert code == 2 and out == ""
+    assert "--tolerance must be a finite positive number" in err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

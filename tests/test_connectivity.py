@@ -1,5 +1,6 @@
 """Subconstituent structure, sign-change index, tails, and the census."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -7,14 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drgq import connectivity
 from drgq.connectivity import (dual_sign_change_index, last_two_connected,
                                odd_component_census, shell_connected, subconstituent,
                                sweep_last_two, sweep_tail, tail_connected,
                                union_subconstituent)
 from drgq.errors import MathAssertionError
 from drgq.families import build_family, cycle_graph, petersen_graph
-from drgq.graphs import (are_isomorphic, bipartite_double, build_graph,
-                         connected_components, distance_data)
+from drgq.graphs import (ISO_VERTEX_CAP, DistanceData, are_isomorphic, bipartite_double,
+                         build_graph, connected_components, distance_data,
+                         induced_subgraph, two_coloring)
 
 
 @pytest.fixture(scope="module")
@@ -159,12 +162,84 @@ class TestTail:
             tail_connected(odd3.graph, odd3.dd, 0, 9)
 
 
+def _doctored(dd, gamma, pairs):
+    """Distances with sphere-d membership about gamma swapped, symmetrically,
+    between each (inside, outside) pair: the sphere keeps its size."""
+    dist = dd.dist.copy()
+    for u, w in pairs:
+        du, dw = dist[gamma, u], dist[gamma, w]
+        dist[gamma, u] = dist[u, gamma] = dw
+        dist[gamma, w] = dist[w, gamma] = du
+    return DistanceData(dist, dd.diameter)
+
+
+def _per_vertex_census(g, dd, clean):
+    """The census one base vertex at a time, from the induced sphere, its
+    connected components and their two-colourings: the record expected from
+    ``odd_component_census`` and its failure lines.  ``clean`` is the record
+    of the undoctored graph, which carries the expected figures."""
+    d = dd.diameter
+    reference = bipartite_double(connectivity._odd_core(d // 2))
+    failures = []
+    first = (0, [])
+    iso = 0
+    halves_ok = True
+    for gamma in range(g.n):
+        sphere = dd.sphere(gamma, d)
+        if sphere.size != clean.sphere_size:
+            failures.append(f"gamma={gamma}: sphere size {sphere.size} != {clean.sphere_size}")
+            continue
+        sub, _ = induced_subgraph(g, sphere)
+        comps = connected_components(sub)
+        sizes = sorted(len(c) for c in comps)
+        if gamma == 0:
+            first = (len(comps), sizes)
+        if len(comps) != clean.expected_count:
+            failures.append(
+                f"gamma={gamma}: {len(comps)} components, expected {clean.expected_count}")
+        if set(sizes) != {clean.expected_size}:
+            failures.append(f"gamma={gamma}: component sizes {sizes}, "
+                            f"expected all {clean.expected_size}")
+            continue
+        for ci, comp in enumerate(comps):
+            comp_graph = induced_subgraph(sub, comp).graph
+            degrees = set(comp_graph.degrees())
+            if degrees != {clean.component_degree}:
+                failures.append(f"gamma={gamma} component {ci}: degrees {sorted(degrees)}, "
+                                f"expected {clean.component_degree}-regular")
+            coloring = two_coloring(comp_graph)
+            if coloring is None or coloring.count(0) != coloring.count(1):
+                halves_ok = False
+                failures.append(f"gamma={gamma} component {ci}: not bipartite with equal halves")
+            if not clean.iso_skipped and (g.n <= 200 or gamma == 0):
+                if are_isomorphic(comp_graph, reference)[0]:
+                    iso += 1
+                else:
+                    failures.append(
+                        f"gamma={gamma} component {ci}: not isomorphic to the bipartite double")
+    record = dataclasses.replace(clean, count=first[0], component_sizes=first[1],
+                                 iso_components=iso, iso_certified=iso > 0,
+                                 bipartite_halves_ok=halves_ok)
+    return record, failures
+
+
+def _assert_census_matches(g, dd, clean):
+    expected, failures = _per_vertex_census(g, dd, clean)
+    if not failures:
+        assert odd_component_census(g, dd) == expected
+        return
+    with pytest.raises(MathAssertionError) as exc:
+        odd_component_census(g, dd)
+    assert str(exc.value).splitlines() == (["odd-graph census failed:"]
+                                           + ["  " + f for f in failures[:20]])
+
+
 class TestCensus:
-    def test_d3_record(self):
-        rec = odd_component_census(3, all_vertices=False)
+    def test_d3_record(self, odd3):
+        rec = odd_component_census(odd3.graph, odd3.dd)
         assert (rec.count, rec.expected_size, rec.sphere_size) == (3, 6, 18)
         assert rec.component_sizes == [6, 6, 6]
-        assert rec.iso_certified and rec.iso_components == 3
+        assert rec.iso_certified and rec.iso_components == rec.vertices_checked * 3
         assert rec.bipartite_halves_ok
         assert not rec.iso_skipped
 
@@ -172,33 +247,76 @@ class TestCensus:
         # the certified reference doubles the triangle, i.e. a 6-cycle
         sub = subconstituent(odd3.graph, odd3.dd, 0, 3)
         comp = connected_components(sub)[0]
-        from drgq.graphs import induced_subgraph
         comp_graph = induced_subgraph(sub, comp).graph
         ok, _ = are_isomorphic(comp_graph, cycle_graph(6))
         assert ok
 
-    def test_d4_components_double_the_petersen(self):
-        rec = odd_component_census(4, all_vertices=False)
+    def test_d4_components_double_the_petersen(self, bundles):
+        b = bundles["odd:4"]
+        rec = odd_component_census(b.graph, b.dd)
         assert (rec.count, rec.expected_size) == (3, 20)
-        b = build_family("odd:4")
-        dd = distance_data(b)
-        sub = subconstituent(b, dd, 0, 4)
+        sub = subconstituent(b.graph, b.dd, 0, 4)
         comp = connected_components(sub)[0]
-        from drgq.graphs import induced_subgraph
         comp_graph = induced_subgraph(sub, comp).graph
         ok, _ = are_isomorphic(comp_graph, bipartite_double(petersen_graph()))
         assert ok
 
-    def test_d_too_small(self):
+    def test_d_too_small(self, bundles):
+        b = bundles["petersen"]
         with pytest.raises(ValueError):
-            odd_component_census(2)
+            odd_component_census(b.graph, b.dd)
 
-    def test_cap_below_component_size_skips_certification(self):
-        # size/degree/bipartite evidence still verified when components are
-        # too big for backtracking
-        rec = odd_component_census(3, all_vertices=False, iso_cap=4)
+    def test_components_above_the_cap_skip_certification(self):
+        # odd:6 components have 70 vertices, too many for backtracking; the
+        # size, degree and bipartite evidence is still verified everywhere
+        g = build_family("odd:6")
+        rec = odd_component_census(g, distance_data(g))
+        assert rec.expected_size == 70 > ISO_VERTEX_CAP
         assert rec.iso_skipped and rec.iso_components == 0
         assert not rec.iso_certified
-        assert rec.count == 3 and rec.component_degree == 2
-        assert rec.bipartite_halves_ok
+        assert rec.count == 10 and rec.component_sizes == [70] * 10
+        assert rec.component_degree == 4 and rec.bipartite_halves_ok
+        assert rec.vertices_checked == g.n == 1716
 
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(st.sampled_from(("odd:3", "odd:4")), st.data())
+    def test_doctored_spheres_match_per_vertex_reference(self, bundles, spec, data):
+        b = bundles[spec]
+        d = b.dd.diameter
+        gamma = data.draw(st.integers(0, b.graph.n - 1), label="gamma")
+        inside = b.dd.sphere(gamma, d).tolist()
+        outside = [v for v in range(b.graph.n) if v != gamma and b.dd.dist[gamma, v] != d]
+        us = data.draw(st.lists(st.sampled_from(inside), min_size=1, max_size=3, unique=True))
+        ws = data.draw(st.lists(st.sampled_from(outside), min_size=len(us), max_size=len(us),
+                                unique=True))
+        doctored = _doctored(b.dd, gamma, list(zip(us, ws)))
+        assert doctored.sphere(gamma, d).size == len(inside)
+        _assert_census_matches(b.graph, doctored, odd_component_census(b.graph, b.dd))
+
+    @pytest.mark.parametrize("spec", ("odd:3", "odd:4"))
+    @pytest.mark.parametrize("same_colour", (True, False))
+    def test_chord_matches_per_vertex_reference(self, bundles, spec, same_colour):
+        # a chord inside one outer-sphere component of vertex 0, with the
+        # distances of the graph without it: the component's degrees go
+        # wrong, and a chord between same-coloured vertices makes it odd
+        b = bundles[spec]
+        clean = odd_component_census(b.graph, b.dd)
+        sub, verts = induced_subgraph(b.graph, b.dd.sphere(0, b.dd.diameter))
+        comp = connected_components(sub)[0]
+        colour = two_coloring(induced_subgraph(sub, comp).graph)
+        u = comp[0]
+        w = next(x for i, x in enumerate(comp) if x != u and not sub.has_edge(u, x)
+                 and (colour[i] == colour[0]) == same_colour)
+        g = build_graph(b.graph.n, [*b.graph.edges(), (verts[u], verts[w])])
+        with pytest.raises(MathAssertionError, match="gamma=0 component 0: degrees"):
+            odd_component_census(g, b.dd)
+        _assert_census_matches(g, b.dd, clean)
+
+    def test_wrong_reference_not_isomorphic(self, odd3, monkeypatch):
+        # the path on three vertices in place of the triangle: its double has
+        # the six vertices of a component but not its edges
+        clean = odd_component_census(odd3.graph, odd3.dd)
+        monkeypatch.setattr(connectivity, "_odd_core", lambda r: build_graph(3, [(0, 1), (1, 2)]))
+        with pytest.raises(MathAssertionError, match="not isomorphic to the bipartite double"):
+            odd_component_census(odd3.graph, odd3.dd)
+        _assert_census_matches(odd3.graph, odd3.dd, clean)

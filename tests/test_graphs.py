@@ -252,8 +252,8 @@ class TestIsomorphism:
         assert not ok and perm is None
 
     def test_same_degrees_not_isomorphic(self):
-        # two 6-vertex 2-regular graphs: one hexagon vs two triangles... the
-        # latter is disconnected, which the profile invariant must catch
+        # two 6-vertex 2-regular graphs: one hexagon vs two triangles; colour
+        # refinement cannot split them, so backtracking must refute
         two_triangles = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
         ok, _ = are_isomorphic(cycle_graph(6), two_triangles)
         assert not ok
@@ -294,3 +294,29 @@ class TestIsomorphism:
         h = build_graph(g.n, sorted(edges))
         ok, _ = are_isomorphic(g, h)
         assert ok == nx.is_isomorphic(to_nx(g), to_nx(h))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(arbitrary_graphs(max_n=10), st.data())
+    def test_agrees_with_networkx_on_relabelled_switches(self, g, data):
+        # a random relabelling, then degree-preserving switches ab, cd -> ac, bd:
+        # the degree sequence never tells the pair apart
+        relabel = data.draw(st.permutations(range(g.n)), label="relabel")
+        edges = {frozenset((relabel[u], relabel[v])) for u, v in g.edges()}
+        for _ in range(data.draw(st.integers(0, 6), label="switches")):
+            if len(edges) < 2:
+                break
+            pairs = sorted(tuple(sorted(x)) for x in edges)
+            (a, b), (c, e) = data.draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2,
+                                                unique=True))
+            if data.draw(st.booleans()):
+                c, e = e, c
+            new = {frozenset((a, c)), frozenset((b, e))}
+            if len({a, b, c, e}) == 4 and not new & edges:
+                edges -= {frozenset((a, b)), frozenset((c, e))}
+                edges |= new
+        h = build_graph(g.n, [tuple(x) for x in edges])
+        assert sorted(g.degrees()) == sorted(h.degrees())
+        ok, perm = are_isomorphic(g, h)
+        assert ok == nx.is_isomorphic(to_nx(g), to_nx(h))
+        if ok:
+            assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == edges
