@@ -239,7 +239,7 @@ def tail(b: Bundle) -> Claim:
 def dual_oracle(b: Bundle) -> Claim:
     """The duals come from the three-term recurrence, so comparing them with
     it is vacuous; their certificate against the graph is the eigen residual
-    max_j ||A E_j - theta_j E_j|| of the projectors they assemble."""
+    max_j ||A E_j - theta_j E_j||, in coordinates from the p^h_1j counted on every pair."""
     worst = b.sd.eigen_residual
     return Claim("dual_oracle", worst < DUAL_ORACLE_BOUND,
                  f"max eigen residual {worst:.2e}", worst=worst)

@@ -223,8 +223,9 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
 
     vertex = np.arange(n)
     nbr = g.neighbor_array()
-    real = nbr != vertex[:, None]  # the padding repeats the row's own vertex
-    lift_nbr = bipartite_double(g).neighbor_array()
+    own = vertex[:, None]  # bipartite_double(g).neighbor_array(): v ~ n + w, n + v ~ w
+    real = nbr != own  # the padding repeats the row's own vertex
+    lift_nbr = np.vstack([np.where(real, nbr + n, own), np.where(real, nbr, own + n)])
     width = max(1, CENSUS_BLOCK_ENTRIES // n)
     failures: list[str] = []
     first_sizes: list[int] = []

@@ -144,13 +144,21 @@ class DistanceData:
         return [int((self.dist[gamma] == i).sum()) for i in range(self.diameter + 1)]
 
 
-def _closed_neighborhoods(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices) in which row v lists v, then its neighbors."""
+def neighborhood_chunks(g: Graph) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Closed neighborhoods (v, then its neighbors) as CSR row chunks
+    (a, b, starts, members) of at most n entries each, so gathering an
+    n-vector per entry costs (2m + n) n however the degrees are spread."""
     indptr = np.zeros(g.n + 1, dtype=np.intp)
     np.cumsum([len(nb) + 1 for nb in g.neighbors], out=indptr[1:])
     indices = np.fromiter((w for v, nb in enumerate(g.neighbors) for w in (v, *nb)),
                           dtype=np.intp, count=int(indptr[-1]))
-    return indptr, indices
+    chunks = []
+    a = 0
+    while a < g.n:
+        b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + g.n, side="right")) - 1)
+        chunks.append((a, b, indptr[a:b] - indptr[a], indices[indptr[a]:indptr[b]]))
+        a = b
+    return chunks
 
 
 def distance_data(g: Graph) -> DistanceData:
@@ -167,15 +175,7 @@ def distance_data(g: Graph) -> DistanceData:
         raise DisconnectedGraphError(0, int(unreachable[0]))
     memory.require(f"all-pairs distances on {n} vertices",
                    memory.distance_bytes(n, 2 * g.num_edges + n))
-    indptr, indices = _closed_neighborhoods(g)
-    # row chunks whose neighborhoods hold at most n entries in all, so one
-    # level gathers 2m + n packed rows however the degrees are spread
-    chunks = []
-    a = 0
-    while a < n:
-        b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + n, side="right")) - 1)
-        chunks.append((a, b, indptr[a:b] - indptr[a], indices[indptr[a]:indptr[b]]))
-        a = b
+    chunks = neighborhood_chunks(g)
     # frontier row x, bit-packed 64 vertices per word, is the set of vertices
     # at the current level from x; the next level from v is the union of the
     # frontier rows of v's neighbors, less visited vertices (v's own row adds

@@ -3,12 +3,12 @@
 A connected graph is distance-regular when, for every pair (x, y) at
 distance h, the numbers of neighbours of x at distance h-1, h and h+1 from
 y depend on h alone (Brouwer, Cohen and Neumaier, Distance-Regular Graphs,
-1989, 4.1).  Entry (x,y) of A A_j counts the neighbours of x at distance j
-from y, so the check is exhaustive with d+1 products: each must be
-constant on every distance class.  On failure the witness names two
-same-distance pairs whose counts differ.  The full p^h_ij tensor then
-follows from the certified array by the three-term recurrence
-A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, in exact integers.
+1989, 4.1).  Each neighbour lies at one of those distances, so two exact
+counts per pair, gathered over the BFS's closed-neighbourhood chunks,
+decide the check: those nearer to y and those farther, the level count
+being deg(x) less both; every other p^h_1j is 0.  On failure the witness
+names two same-distance pairs whose counts differ.  The p^h_ij tensor then
+follows by A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, in exact integers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import MathAssertionError
-from .graphs import DistanceData, Graph
+from .graphs import DistanceData, Graph, neighborhood_chunks
 
 
 @dataclass
@@ -85,33 +85,36 @@ class ClassificationFlags:
 
 def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData, NotDRG]:
     """Verify the neighbour-count constancy for every (h, j); exhaustive, not sampled."""
-    d = dd.diameter
-    n = g.n
+    d, dist = dd.diameter, dd.dist
     if d == 0:
         raise ValueError("a single-vertex graph has no intersection data")
-    adj = (dd.dist == 1).astype(np.float64)
+    # per pair (x, y), the neighbours of x nearer to y and those farther, in
+    # the narrowest unsigned dtype that holds the largest degree
+    degree = np.array(g.degrees(), dtype=np.min_scalar_type(max(g.degrees())))
+    below, above = np.empty_like(dist, dtype=degree.dtype), np.empty_like(dist, dtype=degree.dtype)
+    for a, b, starts, members in neighborhood_chunks(g):
+        near = dist[members]
+        owner = np.repeat(dist[a:b], np.diff(starts, append=len(members)), axis=0)
+        np.add.reduceat(near < owner, starts, axis=0, dtype=degree.dtype, out=below[a:b])
+        np.add.reduceat(near > owner, starts, axis=0, dtype=degree.dtype, out=above[a:b])
+    del near, owner  # the last chunk's temporaries go before the classes are formed
     p1 = np.zeros((d + 1, d + 1), dtype=np.int64)  # p1[h, j] = p^h_1j
-    first = None  # the smallest violating (h, j), the index of its second pair and both counts
-    for j in range(d + 1):
-        counts = adj @ (dd.dist == j).astype(np.float64)
-        for h in range(d + 1):
-            vals = counts[dd.dist == h]
-            if vals.size == 0:
+    for h in range(d + 1):
+        in_class = dist == h
+        lower, upper = below[in_class], above[in_class]
+        if lower.size == 0:
+            continue
+        # a neighbour of x lies at distance h - 1, h or h + 1 from y; the
+        # class lists its pairs row-major, so row x holds in_class[x].sum()
+        level = np.repeat(degree, in_class.sum(axis=1)) - lower - upper
+        for j, vals in ((h - 1, lower), (h, level), (h + 1, upper)):
+            if not 0 <= j <= d:
                 continue
-            lo, hi = vals.min(), vals.max()
-            if lo == hi:
-                p1[h, j] = int(lo)
-            elif first is None or (h, j) < first[:2]:
-                kdiff = int(np.argmax(vals != vals[0]))
-                first = (h, j, kdiff, int(vals[0]), int(vals[kdiff]))
-            del vals
-        del counts  # each freed before the next is made: three n x n floats at most
-
-    if first is not None:
-        h, j, kdiff, count_a, count_b = first
-        pairs = np.argwhere(dd.dist == h)  # row-major order = lexicographic pairs = order of vals
-        (x0, y0), (x1, y1) = pairs[[0, kdiff]].tolist()
-        return NotDRG(h, 1, j, (x0, y0), count_a, (x1, y1), count_b)
+            kdiff = int(np.argmax(vals != vals[0]))
+            if vals[kdiff] != vals[0]:
+                (x0, y0), (x1, y1) = np.argwhere(in_class)[[0, kdiff]].tolist()
+                return NotDRG(h, 1, j, (x0, y0), int(vals[0]), (x1, y1), int(vals[kdiff]))
+            p1[h, j] = vals[0]
 
     b = tuple(int(p1[i, i + 1]) for i in range(d))
     c = tuple(int(p1[i, i - 1]) for i in range(1, d + 1))
@@ -126,7 +129,7 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
         layers.append(nxt // c[i])
     p = np.stack(layers, axis=1)
     sphere_sizes = tuple(int(p[0, i, i]) for i in range(d + 1))
-    return IntersectionData(d, b[0], n, p, b, c, sphere_sizes)
+    return IntersectionData(d, b[0], g.n, p, b, c, sphere_sizes)
 
 
 def classify(ia: IntersectionData) -> ClassificationFlags:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-# n x n float64 arrays alive at once beside the distances: the regularity
-# check holds A, A_j and their count matrix, the previous one freed first;
-# certifying a projector holds A - theta I, E_j and their product; the int32
-# labels of the connectivity sweeps and of the census's blocks fit in the same room
-FLOAT_TEMPORARIES = 3
+# n x n float64 arrays alive at once beside the distances: the balanced-set E_j
+FLOAT_TEMPORARIES = 1
+# n x n int32 arrays alive at once in a sweep's shell_labels (labels, next round,
+# its pointer jump, a gathered column, the off-shell floor), the largest stage;
+# the regularity check's narrow counts and chunk temporaries fit in less
+LABEL_TEMPORARIES = 5
 # the balanced-set sweep's batch buffers, sized by qpoly.BATCH_ENTRIES, not n
 BATCH_BUFFER_BYTES = 4 << 20
 # cgroup v2, then v1; a container's limit may sit far below physical memory
@@ -59,12 +60,12 @@ def distance_bytes(n: int, entries: int) -> int:
 
 
 def analysis_bytes(n: int) -> int:
-    """Peak bytes of the analysis after the BFS: the one-byte distances and
-    one boolean distance class, the float64 temporaries and the batch
-    buffers.  The distance classes are formed one at a time from the
-    distances, and each projector is assembled on demand from its d + 1
-    dual coordinates, so neither is held d + 1 times."""
-    return 2 * n * n + 8 * n * n * FLOAT_TEMPORARIES + BATCH_BUFFER_BYTES
+    """Peak bytes of the analysis after the BFS: the one-byte distances, a
+    boolean shell and a boolean comparison, the larger of the label and the
+    float64 temporaries, and the batch buffers.  Distance classes and
+    projectors are formed one at a time, so neither is held d + 1 times."""
+    temporaries = max(4 * LABEL_TEMPORARIES, 8 * FLOAT_TEMPORARIES)
+    return n * n * (3 + temporaries) + BATCH_BUFFER_BYTES
 
 
 def require(stage: str, need: int) -> None:

@@ -9,11 +9,12 @@ an integer are rounded.
 The Bose-Mesner algebra is kept in its d+1 coordinates: the dual sequence
 of E_j is m_j times the standard sequence of theta_j, from the three-term
 recurrence, and E_j = dual[j][dist] / n is assembled on demand wherever a
-check needs actual vectors.  Each E_j is certified once: its eigen residual
-||A E_j - theta_j E_j|| against the graph, one dense product, and its
-idempotency residual ||E_j^2 - E_j|| in coordinates, from the p-tensor the
-regularity check certified.  As its trace is m_j and the m_j sum to n, that
-makes it the projector onto the theta_j-eigenspace.  The Lagrange product
+check needs actual vectors.  Each E_j is certified once, in coordinates:
+its eigen residual ||A E_j - theta_j E_j|| from the p^h_1j the regularity
+check counted on every pair (coordinate d is the eigenvalue equation; the
+recurrence gives the others), and its idempotency residual ||E_j^2 - E_j||
+from the p-tensor.  As its trace is m_j and the m_j sum to n, that makes it
+the projector onto the theta_j-eigenspace.  The Lagrange product
 ``primitive_idempotents`` and the dense ``inner_product_residual`` are kept
 as the tests' references.
 """
@@ -151,23 +152,20 @@ def compute_spectral_data(dd: DistanceData, ia: IntersectionData,
     """Spectrum, dual sequences from the recurrence, and the certificate of
     every assembled projector.
 
-    The idempotency residual is read in d+1 coordinates from the certified
-    p-tensor: every distance class is nonempty, so the largest coordinate
-    of E_j^2 - E_j is its largest entry.  Raises NumericalError naming j
-    when E_j's eigen residual or idempotency residual exceeds the matrix
-    tolerance.
+    Both residuals are read in d+1 coordinates from the certified p-tensor,
+    the eigen one from A A_h = sum_l p^l_1h A_l: every distance class is
+    nonempty, so the largest coordinate of a difference is its largest
+    entry.  Raises NumericalError naming j when E_j's eigen residual or
+    idempotency residual exceeds the matrix tolerance.
     """
     eps = tol.matrix_eps(ia.k)
     theta, mult = eigenvalues_from_intersection_array(ia, tol)
     dual = np.array([m * standard_sequence(ia, float(t)) for t, m in zip(theta, mult)])
     sd = SpectralData(theta, mult, dual, ia.sphere_sizes, dd.dist, ia.n, ia.d, 0.0, 0.0)
     squares = np.diagonal(idempotent_products(dual, ia.p, ia.n)).T  # [j, h]: E_j^2
-    shifted = (dd.dist == 1).astype(np.float64)
+    products = dual @ ia.p[:, 1, :].T / ia.n  # [j, l]: A E_j
     for j, t in enumerate(theta):
-        shifted.flat[::sd.n + 1] = -t  # A - theta_j I
-        prod = shifted @ sd.idempotent(j)
-        eigen = float(np.abs(prod, out=prod).max())
-        del prod  # freed before the next E_j is assembled: three n x n floats at most
+        eigen = float(np.abs(products[j] - t * dual[j] / ia.n).max())
         idem = float(np.abs(squares[j] - dual[j] / ia.n).max())
         for name, resid in (("eigen", eigen), ("idempotency", idem)):
             if resid > eps:

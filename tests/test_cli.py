@@ -1,13 +1,18 @@
 """CLI behavior: report schema, exit codes, file handling."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from drgq import catalogue, memory
 from drgq.cli import main
-from drgq.families import cycle_graph, petersen_graph
+from drgq.families import build_family, cycle_graph, petersen_graph
 from drgq.graph6 import save_graph6_file, write_graph6
+from drgq.graphs import distance_data
+from drgq.intersection import check_distance_regular, classify
+from drgq.spectral import compute_spectral_data
+from drgq.tolerances import DEFAULT_TOLERANCES
 
 
 @pytest.fixture
@@ -79,6 +84,15 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "missing.g6")
         assert code == 2
         assert "missing.g6" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "petersen", "--out", "{tmp}/no_such_dir/x.json"),
+        ("analyze", "{tmp}"),
+    ], ids=["out_in_missing_dir", "directory_as_source"])
+    def test_file_system_error_exits_usage(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "analyze", "dodecahedron:5")
@@ -206,6 +220,25 @@ class TestMemoryPreflight:
         assert code == 2 and out == ""
         assert f"{stage}: an estimated {estimate:,} bytes" in err
         assert f"the {budget:,} bytes" in err
+
+    @pytest.mark.parametrize("spec", ("hamming:8,2", "odd:5"))
+    def test_analysis_model_covers_measured_peak(self, spec):
+        # everything after the BFS: the regularity check, the spectra, the
+        # Q-polynomial deciders and every claim; the distances predate tracing
+        g = build_family(spec)
+        dd = distance_data(g)
+        tracemalloc.start()
+        try:
+            ia = check_distance_regular(g, dd)
+            sd = compute_spectral_data(dd, ia)
+            bundle = catalogue.Bundle(spec, None, g, dd, ia, classify(ia), sd,
+                                      DEFAULT_TOLERANCES, "auto", 0)
+            for claim in catalogue.CLAIMS.values():
+                claim(bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dd.dist.nbytes + peak <= memory.analysis_bytes(g.n)
 
     def test_cgroup_limit(self, tmp_path, monkeypatch):
         unlimited, limited = tmp_path / "memory.max", tmp_path / "limit_in_bytes"

@@ -118,6 +118,82 @@ def test_rejection_witness_is_first_neighbour_count(spec, switches, rnd):
             assert len({brute_force_count(dd, x, y, 1, j) for x, y in cls}) == 1
 
 
+def dense_reference(g, dd):
+    """The check as dense products: entry (x, y) of A A_j counts the
+    neighbours of x at distance j from y, and the first (h, j) whose counts
+    are not constant on class h, in row-major pair order, is the witness.
+    A passing graph gets its full tensor from the products A_i A_j."""
+    d = dd.diameter
+    classes = [(dd.dist == h).astype(np.int64) for h in range(d + 1)]
+    for h in range(d + 1):
+        pairs = np.argwhere(classes[h])
+        for j in range(d + 1):
+            vals = (classes[1] @ classes[j])[classes[h] == 1]
+            if (vals != vals[0]).any():
+                kdiff = int(np.argmax(vals != vals[0]))
+                return NotDRG(h, 1, j, tuple(pairs[0].tolist()), int(vals[0]),
+                              tuple(pairs[kdiff].tolist()), int(vals[kdiff]))
+    p = np.zeros((d + 1,) * 3, dtype=np.int64)
+    for i in range(d + 1):
+        for j in range(d + 1):
+            product = classes[i] @ classes[j]
+            for h in range(d + 1):
+                vals = product[classes[h] == 1]
+                assert (vals == vals[0]).all()
+                p[h, i, j] = vals[0]
+    return p
+
+
+def tree_with_chords(n, chords, rnd):
+    edges = [(rnd.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rnd.sample(range(n), 2)) for _ in range(chords if n > 1 else 0)]
+    return build_graph(n, edges)
+
+
+def wheel(rim):
+    """Hub 0 on a rim cycle 1..rim: the hub's closed neighbourhood, n
+    entries, fills a chunk alone."""
+    return build_graph(rim + 1, [(0, v) for v in range(1, rim + 1)]
+                       + [(v, v % rim + 1) for v in range(1, rim + 1)])
+
+
+def star(leaves):
+    return build_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def shuffled_path(n, rnd):
+    """A path under a random labelling, so its edges cross chunk boundaries."""
+    order = list(range(n))
+    rnd.shuffle(order)
+    return build_graph(n, list(zip(order, order[1:])))
+
+
+def assert_matches_dense_reference(g):
+    dd, res = analyze(g)
+    ref = dense_reference(g, dd)
+    if isinstance(ref, NotDRG):
+        assert res == ref
+    else:
+        assert isinstance(res, IntersectionData) and (res.p == ref).all()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(("tree", "wheel", "star", "path")), st.integers(min_value=2, max_value=40),
+       st.integers(min_value=0, max_value=6), st.randoms(use_true_random=False))
+def test_counts_match_dense_products_on_irregular_graphs(kind, n, chords, rnd):
+    g = {"tree": lambda: tree_with_chords(n, chords, rnd), "wheel": lambda: wheel(max(3, n)),
+         "star": lambda: star(n), "path": lambda: shuffled_path(n, rnd)}[kind]()
+    assert_matches_dense_reference(g)
+
+
+@pytest.mark.parametrize("g", [wheel(4), wheel(39), wheel(300), star(200), cycle_graph(9),
+                               petersen_graph()],
+                         ids=["wheel5", "wheel40", "wheel301", "star200", "cycle9", "petersen"])
+def test_counts_match_dense_products(g):
+    # the wheel of 301 vertices has a hub of degree 300, so its counts are uint16
+    assert_matches_dense_reference(g)
+
+
 class TestIntersectionData:
     def test_valency_is_p011(self):
         for spec in ("petersen", "odd:3", "hamming:3,2"):

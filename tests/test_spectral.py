@@ -2,13 +2,14 @@
 
 The spectra are checked against closed forms and the adjacency matrix
 spectrum, the dual sequences against an inline three-term recurrence
-written from scratch, and the coordinate idempotency residual against the
-dense product.
+written from scratch, and the coordinate eigen and idempotency residuals
+against the dense products.
 """
 
 import numpy as np
 import pytest
 
+from drgq import spectral
 from drgq.catalogue import CATALOGUE
 from drgq.errors import NumericalError
 from drgq.families import build_family
@@ -127,12 +128,28 @@ class TestIdempotents:
                     for j in range(ia.d + 1))
         assert abs(sd.idempotency_residual - dense) < 1e-12
 
-    def test_foreign_array_fails_certificate(self):
-        # johnson:7,3 and odd:3 both have 35 vertices and diameter 3, but
-        # the odd graph's projectors are not those of the Johnson graph
-        _, dd, _ = pipeline("johnson:7,3")
-        _, _, ia = pipeline("odd:3")
-        with pytest.raises(NumericalError, match="projector 0 "):
+    @pytest.mark.parametrize("spec", CATALOGUE + ("hamming:8,2",))
+    def test_coordinate_eigen_residual_matches_dense(self, spec):
+        g, dd, ia = pipeline(spec)
+        sd = compute_spectral_data(dd, ia)
+        adjacency = g.adjacency_matrix().astype(float)
+        dense = 0.0
+        for j, t in enumerate(sd.theta):
+            e = sd.idempotent(j)
+            dense = max(dense, float(np.abs(adjacency @ e - t * e).max()))
+        assert abs(sd.eigen_residual - dense) < 1e-12
+
+    def test_shifted_eigenvalue_fails_eigen_certificate(self, monkeypatch):
+        # the recurrence satisfies coordinates 0..d-1 for any theta; only the
+        # last, the eigenvalue equation, sees the shift
+        _, dd, ia = pipeline("petersen")
+
+        def shifted(ia, tol=DEFAULT_TOLERANCES):
+            theta, mult = eigenvalues_from_intersection_array(ia, tol)
+            theta[1] += 1e-6
+            return theta, mult
+        monkeypatch.setattr(spectral, "eigenvalues_from_intersection_array", shifted)
+        with pytest.raises(NumericalError, match="projector 1 eigen"):
             compute_spectral_data(dd, ia)
 
 
