@@ -157,6 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)

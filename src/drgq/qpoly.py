@@ -19,9 +19,9 @@ strictly stronger than inner-product probes.  One kernel serves both modes:
 a batch of instances of one (i, j) cell becomes a signed mask matrix M, so
 M @ E stacks their left-hand sides in one BLAS call.  Residuals are
 normalized by max(lhs, rhs, 1/n) so verdicts do not depend on the global
-1/n scaling of the idempotents.  Full mode visits instances in witness
-order and stops at the first failure, so on a negative verdict its
-worst_residual and instances cover the instances up to the witness only.
+1/n scaling of the idempotents.  Both modes visit their instances in
+witness order (h, then i < j, then x, y), skip the cells with p^h_ij = 0,
+and stop at the first failure, which is therefore the smallest one.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ Witness = tuple[int, int, int, int, int, float]  # (h, i, j, x, y, residual)
 
 @dataclass
 class BalancedSetResult:
+    """One candidate's verdict.  ``instances`` and ``worst_residual`` cover the
+    non-vacuous instances (p^h_ij > 0) up to and including the witness, or
+    all of them on a positive verdict."""
+
     candidate: int
     qpoly: bool
     worst_residual: float
@@ -91,45 +95,40 @@ def _residuals(xs, ys, i, j, e_mat, dist, coeff, work):
     return np.abs(np.subtract(lhs, rhs, out=m), out=m).max(axis=1) / scale
 
 
-def _sweep(blocks, e_mat, dist, coeff, rel_tol, work, stop):
-    """Check blocks (i, j, xs, ys) of instances, each block in (h, x, y) order.
+def _sweep(blocks, e_mat, dist, coeff, rel_tol, work):
+    """Check blocks (h, i, j, xs, ys) of instances in witness order; stop at the first failure.
 
-    Returns (worst, instances, witness), the witness being the smallest
-    failing (h, i, j, x, y).  With ``stop`` the blocks come in witness order
-    and the sweep ends at the first failure; worst and instances then cover
-    the instances up to it.
+    Returns (worst, instances, witness) over the instances up to and
+    including the witness, or over all of them when none fails.
     """
     size = max(1, BATCH_ENTRIES // dist.shape[0])
-    worst, checked, witness = 0.0, 0, None
-    for i, j, xs, ys in blocks:
+    worst, checked = 0.0, 0
+    for h, i, j, xs, ys in blocks:
         for s in range(0, len(xs), size):
             bx, by = xs[s:s + size], ys[s:s + size]
             rel = _residuals(bx, by, i, j, e_mat, dist, coeff, work)
             bad = np.flatnonzero(rel > rel_tol)
+            t = int(bad[0]) if bad.size else rel.size - 1
+            worst = max(worst, float(rel[:t + 1].max()))
+            checked += t + 1
             if bad.size:
-                t = int(bad[0])
-                x, y = int(bx[t]), int(by[t])
-                cand = (int(dist[x, y]), i, j, x, y, float(rel[t]))
-                if stop:
-                    return max(worst, float(rel[:t + 1].max())), checked + t + 1, cand
-                if witness is None or cand[:5] < witness[:5]:
-                    witness = cand
-            worst = max(worst, float(rel.max()))
-            checked += rel.size
-    return worst, checked, witness
+                return worst, checked, (h, i, j, int(bx[t]), int(by[t]), float(rel[t]))
+    return worst, checked, None
 
 
 def _sampled_blocks(dist, ij_pairs, sample_size, seed):
-    """A seeded instance stream, dealt round-robin to the cells."""
+    """A seeded instance stream dealt round-robin to the cells, one block per (h, cell)."""
     n = dist.shape[0]
     # one call draws the same stream as alternating scalar draws of x and y
     draws = np.random.default_rng(seed).integers(np.tile([n, n - 1], sample_size))
     xs, ys = draws[0::2], draws[1::2]
     ys += ys >= xs
-    for c, (i, j) in enumerate(ij_pairs):
-        cx, cy = xs[c::len(ij_pairs)], ys[c::len(ij_pairs)]
-        order = np.lexsort((cy, cx, dist[cx, cy]))
-        yield i, j, cx[order], cy[order]
+    key = dist[xs, ys].astype(np.intp) * len(ij_pairs) + np.arange(sample_size) % len(ij_pairs)
+    order = np.lexsort((ys, xs, key))
+    keys, starts = np.unique(key[order], return_index=True)
+    for k, block in zip(keys.tolist(), np.split(order, starts[1:])):
+        h, c = divmod(k, len(ij_pairs))
+        yield (h, *ij_pairs[c], xs[block], ys[block])
 
 
 def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
@@ -138,11 +137,10 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> BalancedSetResult:
     """Decide the balanced-set condition for one nontrivial idempotent.
 
-    Full mode checks every (h, i<j, x, y) instance in that order and stops at
-    the first failure; sampled mode checks a seeded pseudorandom subset,
-    round-robin over the (i, j) cells so every cell gets coverage.  Duplicate
-    dual values against index 0 short-circuit to a negative verdict (the
-    condition's own precondition).
+    Full mode checks every (h, i<j, x, y) instance, sampled mode a seeded
+    pseudorandom stream dealt round-robin to the (i, j) cells; both stop at
+    the first failure in that order.  Duplicate dual values against index 0
+    short-circuit to a negative verdict (the condition's own precondition).
     """
     if candidate == 0:
         raise ValueError("the trivial idempotent is not a Q-polynomial candidate")
@@ -162,13 +160,14 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
     e_mat = sd.idempotent(candidate)
     ij_pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
     work = np.empty((3, max(BATCH_ENTRIES, n)))
-    if mode == "full":  # witness order: h, then (i, j), then (x, y) row-major
-        levels = (np.nonzero(dd.dist == h) for h in range(1, d + 1))
-        blocks, used_seed = ((i, j, xs, ys) for xs, ys in levels for i, j in ij_pairs), None
+    if mode == "full":  # one level dist == h at a time
+        levels = ((h, np.nonzero(dd.dist == h)) for h in range(1, d + 1))
+        stream, used_seed = ((h, i, j, xs, ys) for h, (xs, ys) in levels for i, j in ij_pairs), None
     else:
-        blocks, used_seed = _sampled_blocks(dd.dist, ij_pairs, sample_size, seed), seed
-    worst, instances, witness = _sweep(blocks, e_mat, dd.dist, coeff, tol.balanced_rel,
-                                       work, stop=mode == "full")
+        stream, used_seed = _sampled_blocks(dd.dist, ij_pairs, sample_size, seed), seed
+    # a vacuous cell (p^h_ij = 0) has empty mixed sets and coefficient 0: residual exactly 0
+    blocks = (block for block in stream if ia.p[block[:3]])
+    worst, instances, witness = _sweep(blocks, e_mat, dd.dist, coeff, tol.balanced_rel, work)
 
     verdict = witness is None
     if verdict:

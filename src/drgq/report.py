@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .catalogue import CLAIMS, make_bundle
+from .catalogue import CLAIMS, Bundle, make_bundle
 from .families import FamilySpec
 from .graphs import Graph
 from .intersection import NotDRG
@@ -40,8 +40,9 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
     from the claim registry in ``catalogue``.
 
     Stops after the regularity section when the graph is not
-    distance-regular; the report then carries the witness.  ``jobs`` is
-    accepted and ignored, and echoed into the settings block.
+    distance-regular; the report then carries the witness.  With ``only``
+    it stops once that section is built.  ``jobs`` is accepted and ignored,
+    and echoed into the settings block.
     """
     if only is not None and only not in SECTIONS:
         raise ValueError(f"unknown section {only!r}; expected one of {', '.join(SECTIONS)}")
@@ -73,11 +74,20 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
                 "pair_b": list(b.pair_b), "count_b": b.count_b,
             },
         }
-        report["timings"] = timings
-        return report
+    else:
+        for section, body in _sections(b, timings):
+            if only in (None, section):
+                report[section] = body
+            if section == only:
+                break
+    report["timings"] = timings
+    return report
 
+
+def _sections(b: Bundle, timings: dict):
+    """The report sections of a DRG in SECTIONS order, each built when the caller asks."""
     ia, sd = b.ia, b.sd
-    report["intersection"] = {
+    yield "intersection", {
         "is_drg": True,
         "d": ia.d,
         "k": ia.k,
@@ -91,7 +101,7 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
             "primitive": b.flags.primitive,
         },
     }
-    report["spectral"] = {
+    yield "spectral", {
         "theta": _listify(sd.theta),
         "mult": list(sd.mult),
         "dual": _listify(sd.dual),
@@ -101,12 +111,12 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
     t0 = time.perf_counter()
     qp = b.qpoly
     timings["qpoly"] = time.perf_counter() - t0
-    report["qpoly"] = {
+    yield "qpoly", {
         "verdicts": [qp.balanced[e].qpoly for e in range(1, ia.d + 1)],
         "orderings": qp.span_orderings,
         "worst_residual": qp.worst_residual,
-        "mode": resolve_mode(g.n, mode),
-        "seed": seed,
+        "mode": resolve_mode(b.graph.n, b.mode),
+        "seed": b.seed,
         "consistent": CLAIMS["qpoly_consistency"](b).passed,
     }
 
@@ -131,14 +141,7 @@ def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
             "iso_certified": rec.iso_certified,
         }
     timings["connectivity"] = time.perf_counter() - t0
-    report["connectivity"] = connectivity
-
-    if only is not None:
-        for section in SECTIONS:
-            if section != only:
-                report.pop(section, None)
-    report["timings"] = timings
-    return report
+    yield "connectivity", connectivity
 
 
 def to_json(report: dict) -> str:

@@ -80,6 +80,19 @@ class TestAnalyze:
         report = json.loads(out)
         assert "qpoly" in report and "spectral" not in report and "connectivity" not in report
 
+    def test_only_skips_later_sections(self, capsys, monkeypatch):
+        # the spectral section is built before the deciders, so they must not run
+        _, full, _ = run(capsys, "analyze", "petersen")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("qpoly_report called")
+        monkeypatch.setattr(catalogue, "qpoly_report", refuse)
+        code, out, _ = run(capsys, "analyze", "petersen", "--only", "spectral")
+        assert code == 0
+        report = json.loads(out)
+        assert report["spectral"] == json.loads(full)["spectral"]
+        assert "qpoly" not in report and "connectivity" not in report
+
     def test_missing_file_named_in_error(self, capsys):
         code, _, err = run(capsys, "analyze", "missing.g6")
         assert code == 2
@@ -261,6 +274,16 @@ def test_unusable_tolerance_refused(capsys, argv, value):
     code, out, err = run(capsys, *argv, "--tolerance", value)
     assert code == 2 and out == ""
     assert "--tolerance must be a finite positive number" in err
+
+
+@pytest.mark.parametrize("argv", (("analyze", "petersen"),
+                                  ("analyze", "cycle:5", "--mode", "sampled"),
+                                  ("verify", "qpoly-consistency", "johnson:12,6"),
+                                  ("catalogue", "--only", "dual_oracle")))
+def test_negative_seed_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-3")
+    assert code == 2 and out == ""
+    assert "--seed must be a non-negative integer, got -3" in err
 
 
 def test_version(capsys):

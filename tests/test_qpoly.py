@@ -23,6 +23,22 @@ def small(bundles):
             ("petersen", "cycle:6", "hamming:3,2", "hamming:4,2", "odd:3")}
 
 
+def cells_of(b):
+    return [(i, j) for i in range(b.ia.d + 1) for j in range(i + 1, b.ia.d + 1)]
+
+
+def drawn_sample(b, sample_size, seed):
+    """The sampled sweep's instances (h, i, j, x, y), from scalar draws dealt round-robin."""
+    n, cells = b.graph.n, cells_of(b)
+    rng = np.random.default_rng(seed)
+    sample = []
+    for t in range(sample_size):
+        x, y = int(rng.integers(n)), int(rng.integers(n - 1))
+        y += y >= x
+        sample.append((int(b.dd.dist[x, y]), *cells[t % len(cells)], x, y))
+    return sample
+
+
 def brute_sides(b, e, x, y, i, j):
     """Both sides of the balanced identity, straight from the definition."""
     dist = b.dd.dist
@@ -119,7 +135,10 @@ class TestBalancedSet:
                                    sample_size=2000)
         assert again.witness == runs[0].witness
         assert again.worst_residual == runs[0].worst_residual
-        assert again.seed == 0 and again.instances == 2000
+        # the instances up to the witness; the positive run checks the 1166
+        # of its 2000 draws that fall in non-vacuous cells
+        assert again.seed == 0 and again.instances == 661
+        assert runs[1].instances == 1166
 
     def test_trivial_idempotent_rejected(self, small):
         b = small["petersen"]
@@ -192,24 +211,57 @@ class TestBatchedKernel:
             assert [type(v) for v in w] == [int] * 5 + [float]
 
     def test_full_positive_counts_every_instance(self, bundles):
+        # the n k_h pairs at distance h, once per cell with p^h_ij > 0
         for b in bundles.values():
             for res in b.qpoly.balanced.values():
                 if res.mode == "full" and res.qpoly:
-                    d, n = b.ia.d, b.graph.n
-                    assert res.instances == n * (n - 1) * d * (d + 1) // 2
+                    n, p = b.graph.n, b.ia.p
+                    assert res.instances == sum(
+                        n * b.ia.sphere_sizes[h] * sum(1 for i, j in cells_of(b) if p[h, i, j])
+                        for h in range(1, b.ia.d + 1))
 
     def test_full_negative_counts_up_to_witness(self, small):
-        # instances before the witness in (h, i<j, x, y) order, plus the witness itself
+        # non-vacuous instances before the witness in (h, i<j, x, y) order, plus the witness
         b = small["odd:3"]
         res = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="full")
         h, i, j, x, y, rel = res.witness
-        cells = [(a, c) for a in range(b.ia.d + 1) for c in range(a + 1, b.ia.d + 1)]
-        dist = b.dd.dist
-        before = sum(int((dist == hh).sum()) for hh in range(1, h)) * len(cells)
-        pairs = [tuple(map(int, p)) for p in np.argwhere(dist == h)]
-        before += cells.index((i, j)) * len(pairs) + pairs.index((x, y))
+        cells, dist, p = cells_of(b), b.dd.dist, b.ia.p
+        before = sum(int((dist == hh).sum()) * sum(1 for c in cells if p[(hh, *c)])
+                     for hh in range(1, h))
+        pairs = [tuple(map(int, q)) for q in np.argwhere(dist == h)]
+        live_before = sum(1 for c in cells[:cells.index((i, j))] if p[(h, *c)])
+        before += live_before * len(pairs) + pairs.index((x, y))
         assert res.instances == before + 1
         assert res.worst_residual >= rel
+
+    def test_sampled_witness_is_smallest_failure_in_sample(self, small):
+        b = small["odd:3"]
+        res = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="sampled", seed=0, sample_size=2000)
+        failing = []
+        for h, i, j, x, y in drawn_sample(b, 2000, 0):
+            lhs, rhs = brute_sides(b, 1, x, y, i, j)
+            scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1 / b.graph.n)
+            if np.abs(lhs - rhs).max() / scale > b.tol.balanced_rel:
+                failing.append((h, i, j, x, y))
+        assert res.witness[:5] == min(failing)
+
+    @pytest.mark.parametrize("spec, negatives", [("odd:4", (1, 2, 3)), ("johnson:7,3", (2, 3))])
+    def test_sampled_negative_counts_up_to_witness(self, bundles, spec, negatives):
+        # the witness's position in the sample's non-vacuous witness order, plus one
+        b = bundles[spec]
+        live = sorted(inst for inst in drawn_sample(b, 700, 5) if b.ia.p[inst[:3]])
+        for e in negatives:
+            res = balanced_set_check(b.dd, b.ia, b.sd, e, mode="sampled", seed=5, sample_size=700)
+            assert res.instances == live.index(res.witness[:5]) + 1
+
+    def test_vacuous_cell_residual_is_exactly_zero(self, small):
+        b = small["odd:3"]
+        coeff = qpoly._coefficients(b.ia, b.sd.dual[1])
+        xs, ys = np.nonzero(b.dd.dist == 1)
+        work = np.empty((3, max(qpoly.BATCH_ENTRIES, b.graph.n)))
+        assert b.ia.p[1, 0, 2] == 0
+        rel = qpoly._residuals(xs, ys, 0, 2, b.sd.idempotent(1), b.dd.dist, coeff, work)
+        assert rel.size == len(xs) and not rel.any()
 
 
 class TestOrderings:
