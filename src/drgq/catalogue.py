@@ -207,7 +207,7 @@ def qpoly_consistency(b: Bundle) -> Claim:
                      "deciders disagree: " + "; ".join(qp.disagreements))
     return Claim("qpoly_consistency", True,
                  f"deciders agree; qpoly candidates {qp.qpoly_candidates} "
-                 f"(worst residual {qp.worst_residual:.2e})", worst=qp.worst_residual)
+                 f"(worst residual bound {qp.worst_residual:.2e})", worst=qp.worst_residual)
 
 
 def idempotents(b: Bundle) -> Claim:

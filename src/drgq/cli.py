@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from typing import Optional
@@ -30,8 +31,23 @@ EXIT_NUMERICAL = 4
 EXIT_MATH = 5
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
 class UsageError(Exception):
     pass
+
+
+def configure_logging(level: str) -> None:
+    """Send the package's log records at ``level`` and above to stderr.  The
+    CLI owns the package logger's handlers, so a repeated call replaces them."""
+    logger = logging.getLogger(__package__)
+    for handler in list(logger.handlers):
+        logger.removeHandler(handler)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
 
 
 def load_source(source: str) -> tuple[Graph, Optional[FamilySpec], str]:
@@ -123,6 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="balanced-set sweep mode (auto: full up to 200 vertices)")
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
+        p.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                       help="show the package's log messages at this level and above on stderr")
 
     pa = sub.add_parser("analyze", help="run the full pipeline on one graph")
     pa.add_argument("source", help="family spec (odd:3, johnson:6,3, petersen, ...) or graph6 file")
@@ -156,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    configure_logging(args.log_level)
     try:
         if args.seed < 0:
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")

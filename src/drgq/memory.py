@@ -12,8 +12,10 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-# n x n float64 arrays alive at once beside the distances: the balanced-set E_j
-FLOAT_TEMPORARIES = 1
+# n x n float64 arrays alive at once beside the distances: the balanced-set
+# sweep's factor F of E_j (8 n m_j bytes, m_j < n) and E_j itself, formed
+# lazily for the instances the factor's bound does not clear
+FLOAT_TEMPORARIES = 2
 # n x n int32 arrays alive at once in a sweep's shell_labels (labels, next round,
 # its pointer jump, a gathered column, the off-shell floor), the largest stage;
 # the regularity check's narrow counts and chunk temporaries fit in less
@@ -62,8 +64,8 @@ def distance_bytes(n: int, entries: int) -> int:
 def analysis_bytes(n: int) -> int:
     """Peak bytes of the analysis after the BFS: the one-byte distances, a
     boolean shell and a boolean comparison, the larger of the label and the
-    float64 temporaries, and the batch buffers.  Distance classes and
-    projectors are formed one at a time, so neither is held d + 1 times."""
+    float64 temporaries, and the batch buffers.  Distance classes, projectors
+    and their factors are formed one at a time, so none is held d + 1 times."""
     temporaries = max(4 * LABEL_TEMPORARIES, 8 * FLOAT_TEMPORARIES)
     return n * n * (3 + temporaries) + BATCH_BUFFER_BYTES
 

@@ -15,17 +15,24 @@ another:
   for orderings whose q^1 slice is irreducible tridiagonal.
 
 The sweep checks the identity entrywise over all coordinates, which is
-strictly stronger than inner-product probes.  One kernel serves both modes:
-a batch of instances of one (i, j) cell becomes a signed mask matrix M, so
-M @ E stacks their left-hand sides in one BLAS call.  Residuals are
-normalized by max(lhs, rhs, 1/n) so verdicts do not depend on the global
+strictly stronger than inner-product probes.  A batch of instances of one
+(i, j) cell becomes a signed mask matrix M.  Since lhs - rhs = V E_j with
+V = M - c (e_x - e_y)^T, the sweep first works in a rank-m_j factor F of
+E_j (F F^T = E_j up to a certified delta, from a pivoted Cholesky): each
+instance gets an upper bound on its residual from the m_j-vector V F, and
+only the instances that bound does not clear are expanded to n coordinates
+against the dense E_j, formed once per candidate on first need.  Residuals
+are normalized by max(lhs, rhs, 1/n) so verdicts do not depend on the global
 1/n scaling of the idempotents.  Both modes visit their instances in
 witness order (h, then i < j, then x, y), skip the cells with p^h_ij = 0,
-and stop at the first failure, which is therefore the smallest one.
+and stop at the first failure, which is therefore the smallest one; every
+witness and its residual are exact, and on a positive verdict the worst
+residual is a certified upper bound.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +48,8 @@ FULL_MODE_LIMIT = 200       # acceptance default: full sweep up to this many ver
 SAMPLE_INSTANCES = 10_000
 BATCH_ENTRIES = 1 << 16     # instances x n mask entries per kernel call
 
+log = logging.getLogger(__name__)
+
 Witness = tuple[int, int, int, int, int, float]  # (h, i, j, x, y, residual)
 
 
@@ -48,7 +57,9 @@ Witness = tuple[int, int, int, int, int, float]  # (h, i, j, x, y, residual)
 class BalancedSetResult:
     """One candidate's verdict.  ``instances`` and ``worst_residual`` cover the
     non-vacuous instances (p^h_ij > 0) up to and including the witness, or
-    all of them on a positive verdict."""
+    all of them on a positive verdict.  On a negative verdict
+    ``worst_residual`` is the witness's exact residual; on a positive one it
+    is a certified upper bound on every instance's residual."""
 
     candidate: int
     qpoly: bool
@@ -58,6 +69,16 @@ class BalancedSetResult:
     instances: int
     witness: Optional[Witness] = None
     duplicate_dual_index: Optional[int] = None  # h with dual_0 = dual_h, when the guard fired
+
+
+@dataclass
+class Factor:
+    """A certified rank-m_j factor of E_j: ||F F^T - E_j||_max <= delta, and
+    rho is the largest row norm of F."""
+
+    f: np.ndarray  # n x m_j
+    delta: float
+    rho: float
 
 
 def resolve_mode(n: int, mode: str) -> str:
@@ -76,6 +97,60 @@ def _coefficients(ia: IntersectionData, dual: np.ndarray) -> np.ndarray:
     return coeff
 
 
+def _cholesky(sd: SpectralData, j: int) -> np.ndarray:
+    """F (n x m_j) with F F^T = E_j, by a pivoted Cholesky whose columns are
+    gathered as dual[j][dist[p]] / n, so no n x n float is formed.
+
+    After k < m_j steps the Schur complement has trace m_j - k (the factor
+    so far spans a rank-k part of the projector) spread over n - k diagonal
+    entries, so its largest pivot is at least 1/n; one below half of that
+    means the factorization stalled, and it raises NumericalError.
+    """
+    n, m = sd.n, sd.mult[j]
+    column = sd.dual[j] / n  # E_j's value on a pair at distance h
+    f = np.zeros((n, m))
+    rest = np.full(n, column[0])  # the Schur complement's diagonal
+    for k in range(m):
+        p = int(np.argmax(rest))
+        pivot = float(rest[p])
+        if not pivot > 0.5 / n:
+            raise NumericalError(f"pivoted Cholesky of E_{j} stalled at rank {k} of {m} "
+                                 f"(largest pivot {pivot:.3e})")
+        col = column[sd.dist[p]]
+        col -= f[:, :k] @ f[p, :k]
+        col /= np.sqrt(pivot)
+        f[:, k] = col
+        rest -= col * col
+    return f
+
+
+def _certificate(f: np.ndarray, sd: SpectralData, j: int) -> float:
+    """delta = ||F F^T - E_j||_max, read over the upper triangle in row blocks
+    of BATCH_ENTRIES entries; NaN anywhere makes it NaN."""
+    n = sd.n
+    column = sd.dual[j] / n
+    rows = max(1, BATCH_ENTRIES // n)
+    peaks = []
+    for s in range(0, n, rows):
+        block = f[s:s + rows] @ f[s:].T
+        block -= column[sd.dist[s:s + rows, s:]]
+        peaks.append(np.abs(block, out=block).max())
+    return float(np.max(peaks))
+
+
+def _factor(sd: SpectralData, j: int) -> Factor:
+    """E_j's pivoted Cholesky factor with its certificate."""
+    f = _cholesky(sd, j)
+    rho = float(np.sqrt(np.einsum("tk,tk->t", f, f).max()))
+    return Factor(f, _certificate(f, sd, j), rho)
+
+
+def _mask(xs, ys, i, j, dist, out):
+    """Row t: the signed indicator of instance t's two mixed distance sets."""
+    dx, dy = dist[xs], dist[ys]
+    return np.subtract((dx == i) & (dy == j), (dx == j) & (dy == i), out=out, dtype=np.float64)
+
+
 def _residuals(xs, ys, i, j, e_mat, dist, coeff, work):
     """Relative residuals of the instances (xs[t], ys[t]) of cell (i, j), as one batch.
 
@@ -84,9 +159,7 @@ def _residuals(xs, ys, i, j, e_mat, dist, coeff, work):
     """
     t, n = len(xs), dist.shape[0]
     m, lhs, rhs = (w[:t * n].reshape(t, n) for w in work)
-    dx, dy = dist[xs], dist[ys]
-    np.subtract((dx == i) & (dy == j), (dx == j) & (dy == i), out=m, dtype=np.float64)
-    np.matmul(m, e_mat, out=lhs)
+    np.matmul(_mask(xs, ys, i, j, dist, m), e_mat, out=lhs)
     np.take(e_mat, xs, axis=0, out=rhs)
     rhs -= np.take(e_mat, ys, axis=0, out=m)
     rhs *= coeff[dist[xs, ys], i, j][:, None]
@@ -95,25 +168,64 @@ def _residuals(xs, ys, i, j, e_mat, dist, coeff, work):
     return np.abs(np.subtract(lhs, rhs, out=m), out=m).max(axis=1) / scale
 
 
-def _sweep(blocks, e_mat, dist, coeff, rel_tol, work):
+def _bounds(xs, ys, i, j, fac, dist, coeff, p, work):
+    """Upper bounds on the relative residuals of the instances (xs[t], ys[t])
+    of cell (i, j), read in the factor.
+
+    With V_t = M_t - c (e_x - e_y)^T, lhs - rhs = V_t E_j, and entrywise
+    |V_t E_j| <= ||V_t F||_2 rho + ||V_t||_1 delta.  Each mixed set has
+    p^h_ij members, so ||V_t||_1 <= 2 (p^h_ij + |c|), and the scale is at
+    least 1/n.  The allowance g = (n + m + 8) eps covers the rounding of
+    V_t F, of its norm, of delta and of the exact residual itself.
+    """
+    t, n = len(xs), dist.shape[0]
+    f = fac.f
+    g = (n + f.shape[1] + 8) * np.finfo(np.float64).eps
+    hs = dist[xs, ys]
+    c = coeff[hs, i, j]
+    w = _mask(xs, ys, i, j, dist, work[0][:t * n].reshape(t, n)) @ f
+    ends = f[xs]
+    ends -= f[ys]
+    ends *= c[:, None]
+    w -= ends
+    slack = fac.delta + (np.sqrt(f.shape[1]) + 2) * g * (fac.rho ** 2 + fac.delta)
+    size = 2.0 * (p[hs, i, j] + np.abs(c))
+    return n * (1 + g) * (np.sqrt(np.einsum("tk,tk->t", w, w)) * fac.rho + size * slack)
+
+
+def _sweep(blocks, sd, candidate, coeff, p, rel_tol):
     """Check blocks (h, i, j, xs, ys) of instances in witness order; stop at the first failure.
 
-    Returns (worst, instances, witness) over the instances up to and
-    including the witness, or over all of them when none fails.
+    Each batch is bounded in E_j's factor first; the instances whose bound
+    does not clear ``rel_tol`` get their exact residuals.  Returns (worst,
+    instances, witness) over the instances up to and including the witness,
+    or over all of them when none fails.
     """
-    size = max(1, BATCH_ENTRIES // dist.shape[0])
-    worst, checked = 0.0, 0
-    for h, i, j, xs, ys in blocks:
-        for s in range(0, len(xs), size):
-            bx, by = xs[s:s + size], ys[s:s + size]
-            rel = _residuals(bx, by, i, j, e_mat, dist, coeff, work)
-            bad = np.flatnonzero(rel > rel_tol)
-            t = int(bad[0]) if bad.size else rel.size - 1
-            worst = max(worst, float(rel[:t + 1].max()))
-            checked += t + 1
-            if bad.size:
-                return worst, checked, (h, i, j, int(bx[t]), int(by[t]), float(rel[t]))
-    return worst, checked, None
+    dist, n = sd.dist, sd.n
+    fac, e_mat = _factor(sd, candidate), None
+    work = np.empty((3, max(BATCH_ENTRIES, n)))
+    size = max(1, BATCH_ENTRIES // n)
+    batches = ((h, i, j, xs[s:s + size], ys[s:s + size])
+               for h, i, j, xs, ys in blocks for s in range(0, len(xs), size))
+    worst, checked, expanded, witness = 0.0, 0, 0, None
+    for h, i, j, bx, by in batches:
+        rel = _bounds(bx, by, i, j, fac, dist, coeff, p, work)
+        unclear = np.flatnonzero(~(rel <= rel_tol))  # NaN never clears
+        if unclear.size:
+            if e_mat is None:
+                e_mat = sd.idempotent(candidate)
+            rel[unclear] = _residuals(bx[unclear], by[unclear], i, j, e_mat, dist, coeff, work)
+            expanded += unclear.size
+        bad = np.flatnonzero(rel > rel_tol)
+        t = int(bad[0]) if bad.size else rel.size - 1
+        worst = max(worst, float(rel[:t + 1].max()))
+        checked += t + 1
+        if bad.size:
+            witness = (h, i, j, int(bx[t]), int(by[t]), float(rel[t]))
+            break
+    log.debug("E_%d: factor delta %.2e; %d of %d instances expanded",
+              candidate, fac.delta, expanded, checked)
+    return worst, checked, witness
 
 
 def _sampled_blocks(dist, ij_pairs, sample_size, seed):
@@ -129,6 +241,21 @@ def _sampled_blocks(dist, ij_pairs, sample_size, seed):
     for k, block in zip(keys.tolist(), np.split(order, starts[1:])):
         h, c = divmod(k, len(ij_pairs))
         yield (h, *ij_pairs[c], xs[block], ys[block])
+
+
+def _instance_blocks(dist, p, mode, sample_size, seed):
+    """The non-vacuous instance blocks (h, i, j, xs, ys) of a resolved mode, in
+    witness order: every pair at distance h (full) or the seeded draws
+    (sampled), for each cell i < j with p^h_ij > 0."""
+    d = p.shape[0] - 1
+    ij_pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
+    if mode == "full":  # one level dist == h at a time
+        levels = ((h, np.nonzero(dist == h)) for h in range(1, d + 1))
+        stream = ((h, i, j, xs, ys) for h, (xs, ys) in levels for i, j in ij_pairs)
+    else:
+        stream = _sampled_blocks(dist, ij_pairs, sample_size, seed)
+    # a vacuous cell (p^h_ij = 0) has empty mixed sets and coefficient 0: residual exactly 0
+    return (block for block in stream if p[block[:3]])
 
 
 def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
@@ -156,18 +283,10 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
             return BalancedSetResult(candidate, False, 0.0, mode, None, 0,
                                      duplicate_dual_index=h)
 
-    coeff = _coefficients(ia, dual)
-    e_mat = sd.idempotent(candidate)
-    ij_pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
-    work = np.empty((3, max(BATCH_ENTRIES, n)))
-    if mode == "full":  # one level dist == h at a time
-        levels = ((h, np.nonzero(dd.dist == h)) for h in range(1, d + 1))
-        stream, used_seed = ((h, i, j, xs, ys) for h, (xs, ys) in levels for i, j in ij_pairs), None
-    else:
-        stream, used_seed = _sampled_blocks(dd.dist, ij_pairs, sample_size, seed), seed
-    # a vacuous cell (p^h_ij = 0) has empty mixed sets and coefficient 0: residual exactly 0
-    blocks = (block for block in stream if ia.p[block[:3]])
-    worst, instances, witness = _sweep(blocks, e_mat, dd.dist, coeff, tol.balanced_rel, work)
+    used_seed = None if mode == "full" else seed
+    blocks = _instance_blocks(dd.dist, ia.p, mode, sample_size, seed)
+    worst, instances, witness = _sweep(blocks, sd, candidate, _coefficients(ia, dual), ia.p,
+                                       tol.balanced_rel)
 
     verdict = witness is None
     if verdict:
@@ -319,7 +438,8 @@ class QPolyReport:
 
     @property
     def worst_residual(self) -> float:
-        """Tightness of the positive certifications (0 when none passed)."""
+        """Tightness of the positive certifications, a certified upper bound on
+        every residual they checked (0 when none passed)."""
         return max((r.worst_residual for r in self.balanced.values() if r.qpoly), default=0.0)
 
 

@@ -175,7 +175,7 @@ def render_pretty(report: dict) -> str:
     if qp is not None:
         if qp["orderings"]:
             lines.append(f"Q-polynomial: orderings {qp['orderings']} "
-                         f"(worst residual {qp['worst_residual']:.2e}, mode {qp['mode']})")
+                         f"(worst residual bound {qp['worst_residual']:.2e}, mode {qp['mode']})")
         else:
             lines.append(f"not Q-polynomial (mode {qp['mode']})")
         lines.append(f"decider consistency: {'ok' if qp['consistent'] else 'DISAGREE'}")

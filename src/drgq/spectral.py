@@ -14,9 +14,8 @@ its eigen residual ||A E_j - theta_j E_j|| from the p^h_1j the regularity
 check counted on every pair (coordinate d is the eigenvalue equation; the
 recurrence gives the others), and its idempotency residual ||E_j^2 - E_j||
 from the p-tensor.  As its trace is m_j and the m_j sum to n, that makes it
-the projector onto the theta_j-eigenspace.  The Lagrange product
-``primitive_idempotents`` and the dense ``inner_product_residual`` are kept
-as the tests' references.
+the projector onto the theta_j-eigenspace.  The dense
+``inner_product_residual`` is kept as the acceptance battery's reference.
 """
 
 from __future__ import annotations
@@ -83,35 +82,6 @@ def eigenvalues_from_intersection_array(ia: IntersectionData,
     if mult[0] != 1:
         raise NumericalError(f"trivial eigenvalue must be simple, got multiplicity {mult[0]}")
     return theta, tuple(mult)
-
-
-def primitive_idempotents(dd: DistanceData, theta: np.ndarray,
-                          eps: float) -> list[np.ndarray]:
-    """Spectral projectors E_0..E_d of the adjacency matrix, as Lagrange products
-    prod_{l != j} (A - theta_l I)/(theta_j - theta_l), applied factor by factor
-    so intermediates stay O(1).  The reference for the assembled projectors.
-
-    Each projector's idempotency residual is verified against ``eps``.
-    """
-    adj = (dd.dist == 1).astype(np.float64)
-    n = adj.shape[0]
-    idempotents = []
-    for j, tj in enumerate(theta):
-        e = None
-        for l, tl in enumerate(theta):
-            if l == j:
-                continue
-            factor = adj.copy()
-            factor.flat[::n + 1] -= tl
-            factor /= tj - tl
-            e = factor if e is None else e @ factor
-        assert e is not None
-        e = 0.5 * (e + e.T)
-        resid = float(np.abs(e @ e - e).max())
-        if resid > eps:
-            raise NumericalError(f"projector {j} idempotency residual {resid:.3e} exceeds {eps:.3e}")
-        idempotents.append(e)
-    return idempotents
 
 
 def inner_product_residual(e: np.ndarray, dual: np.ndarray, dd: DistanceData) -> float:

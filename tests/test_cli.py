@@ -1,6 +1,7 @@
 """CLI behavior: report schema, exit codes, file handling."""
 
 import json
+import logging
 import tracemalloc
 
 import pytest
@@ -216,6 +217,44 @@ class TestCatalogue:
         monkeypatch.setattr(catalogue, "qpoly_report", refuse)
         code, out, _ = run(capsys, "catalogue", "--only", "dual_oracle", "--json")
         assert code == 0 and len(json.loads(out)) == 12
+
+
+class TestLogLevel:
+    SNAP = "INFO drgq.connectivity: snapping dual values [2] to zero before the sign test"
+
+    @pytest.fixture(autouse=True)
+    def reset_logger(self):
+        yield
+        logger = logging.getLogger("drgq")
+        for handler in list(logger.handlers):
+            logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+
+    def test_info_shows_dual_snap(self, capsys):
+        # index 2 of hamming:4,2's dual sequence snaps to zero
+        code, out, err = run(capsys, "analyze", "hamming:4,2", "--log-level", "info")
+        assert code == 0 and json.loads(out)["graph"]["n"] == 16
+        assert err.splitlines() == [self.SNAP]
+
+    def test_default_prints_nothing(self, capsys):
+        code, _, err = run(capsys, "analyze", "hamming:4,2")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("argv", (("verify", "ck", "hamming:4,2"),
+                                      ("catalogue", "--only", "tail")))
+    def test_every_subcommand(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--log-level", "info")
+        assert code == 0 and self.SNAP in err.splitlines()
+
+    def test_debug_shows_sweep_expansion(self, capsys):
+        code, _, err = run(capsys, "analyze", "petersen", "--log-level", "debug")
+        assert code == 0
+        assert "DEBUG drgq.qpoly: E_1: factor delta" in err
+
+    def test_unknown_level_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "petersen", "--log-level", "loud"])
+        assert exc.value.code == 2
 
 
 class TestMemoryPreflight:

@@ -2,19 +2,24 @@
 
 Brute-force re-computation from raw definitions backs every assertion that
 matters: instance sums are rebuilt from sphere intersections, never through
-the production sweep's vectorized path.
+the production sweep's vectorized path.  The sweep's factor kernel is held
+to a dense reference sweep kept here, which sends every instance through
+the exact M @ E_j residuals.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from drgq import qpoly
+from drgq.catalogue import CATALOGUE
 from drgq.errors import NumericalError
 from drgq.qpoly import (SAMPLE_INSTANCES, _ordering_for_candidate, balanced_set_check,
                         krein_orderings, krein_parameters, qpoly_orderings,
                         qpoly_report, resolve_mode)
+from drgq.tolerances import DEFAULT_TOLERANCES
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,60 @@ def brute_sides(b, e, x, y, i, j):
     rhs = b.ia.p[h, i, j] * (dual[i] - dual[j]) / (dual[0] - dual[h]) \
         * (emat[:, x] - emat[:, y])
     return lhs, rhs
+
+
+def dense_sweep(b, e, mode, rel_tol, sample_size=SAMPLE_INSTANCES, seed=0):
+    """The dense reference: every instance of the stream through M @ E_j, in
+    witness order, stopping at the first failure.  Returns (worst, instances,
+    witness) as the production sweep does."""
+    n, dist = b.graph.n, b.dd.dist
+    e_mat = b.sd.idempotent(e)
+    coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
+    work = np.empty((3, max(qpoly.BATCH_ENTRIES, n)))
+    size = max(1, qpoly.BATCH_ENTRIES // n)
+    worst, checked = 0.0, 0
+    for h, i, j, xs, ys in qpoly._instance_blocks(dist, b.ia.p, mode, sample_size, seed):
+        for s in range(0, len(xs), size):
+            bx, by = xs[s:s + size], ys[s:s + size]
+            rel = qpoly._residuals(bx, by, i, j, e_mat, dist, coeff, work)
+            bad = np.flatnonzero(rel > rel_tol)
+            t = int(bad[0]) if bad.size else rel.size - 1
+            worst = max(worst, float(rel[:t + 1].max()))
+            checked += t + 1
+            if bad.size:
+                return worst, checked, (h, i, j, int(bx[t]), int(by[t]), float(rel[t]))
+    return worst, checked, None
+
+
+def guarded(b, e):
+    """True when the duplicate-dual guard decides candidate e before any sweep."""
+    return b.qpoly.balanced[e].duplicate_dual_index is not None
+
+
+def assert_matches_dense(res, ref):
+    worst, instances, witness = ref
+    assert (res.qpoly, res.instances) == (witness is None, instances)
+    assert (res.witness is None) == (witness is None)
+    if witness is not None:
+        assert res.witness[:5] == witness[:5]
+        assert abs(res.witness[5] - witness[5]) <= 1e-12
+        assert abs(res.worst_residual - worst) <= 1e-12
+    else:
+        assert res.worst_residual >= worst
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Counts the instances the sweep expands to n coordinates."""
+    seen = []
+    exact = qpoly._residuals
+
+    def spy(xs, *rest):
+        seen.append(len(xs))
+        return exact(xs, *rest)
+
+    monkeypatch.setattr(qpoly, "_residuals", spy)
+    return seen
 
 
 class TestBalancedSet:
@@ -263,6 +322,116 @@ class TestBatchedKernel:
         rel = qpoly._residuals(xs, ys, 0, 2, b.sd.idempotent(1), b.dd.dist, coeff, work)
         assert rel.size == len(xs) and not rel.any()
 
+
+class TestFactorKernel:
+    def test_factor_is_certified(self, bundles):
+        for b in bundles.values():
+            for e in range(1, b.ia.d + 1):
+                fac = qpoly._factor(b.sd, e)
+                assert fac.f.shape == (b.graph.n, b.sd.mult[e])
+                dense = np.abs(fac.f @ fac.f.T - b.sd.idempotent(e)).max()
+                assert abs(fac.delta - dense) <= 1e-15 and fac.delta < 1e-12
+                assert abs(fac.rho ** 2 - b.sd.mult[e] / b.graph.n) < 1e-12
+
+    def test_bound_covers_exact_residual(self, bundles):
+        # random pairs in every cell, passing and failing, for every candidate
+        passing = failing = 0
+        for b in bundles.values():
+            n, dist, tol = b.graph.n, b.dd.dist, b.tol.balanced_rel
+            rng = np.random.default_rng(11)
+            xs = rng.integers(n, size=80)
+            ys = (xs + 1 + rng.integers(n - 1, size=80)) % n
+            work = np.empty((3, max(qpoly.BATCH_ENTRIES, n)))
+            for e in range(1, b.ia.d + 1):
+                if guarded(b, e):
+                    continue
+                fac = qpoly._factor(b.sd, e)
+                coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
+                e_mat = b.sd.idempotent(e)
+                for i, j in cells_of(b):
+                    exact = qpoly._residuals(xs, ys, i, j, e_mat, dist, coeff, work)
+                    bound = qpoly._bounds(xs, ys, i, j, fac, dist, coeff, b.ia.p, work)
+                    assert np.all(bound >= exact), (b.name, e, i, j)
+                    passing += int((exact <= tol).sum())
+                    failing += int((exact > tol).sum())
+        assert passing and failing
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda f: f[:, :-1],
+        lambda f: f + 1e-3 * (np.arange(f.size).reshape(f.shape) == 7),
+    ], ids=["dropped_column", "perturbed_entry"])
+    @pytest.mark.parametrize("spec", ["odd:3", "johnson:7,3", "hamming:4,2"])
+    def test_corrupted_factor_is_caught(self, bundles, monkeypatch, expansions, spec, corrupt):
+        b = bundles[spec]
+        clean = [balanced_set_check(b.dd, b.ia, b.sd, e, mode=mode, sample_size=500)
+                 for mode in ("full", "sampled") for e in range(1, b.ia.d + 1)]
+        cholesky = qpoly._cholesky
+        monkeypatch.setattr(qpoly, "_cholesky", lambda sd, j: corrupt(cholesky(sd, j)))
+        for e in range(1, b.ia.d + 1):
+            assert qpoly._factor(b.sd, e).delta > 1e-8
+        expansions.clear()
+        runs = [balanced_set_check(b.dd, b.ia, b.sd, e, mode=mode, sample_size=500)
+                for mode in ("full", "sampled") for e in range(1, b.ia.d + 1)]
+        # delta is too large for any bound to clear: every instance is expanded
+        assert sum(expansions) >= sum(r.instances for r in runs)
+        for ref, got in zip(clean, runs):
+            assert (got.qpoly, got.instances, got.mode) == (ref.qpoly, ref.instances, ref.mode)
+            assert (got.witness is None) == (ref.witness is None)
+            if ref.witness is not None:
+                assert got.witness[:5] == ref.witness[:5]
+                assert abs(got.witness[5] - ref.witness[5]) <= 1e-12
+
+    def test_stalled_factor_raises(self, small):
+        # E_1 of the Petersen graph has rank 5; asking for 6 columns stalls
+        b = small["petersen"]
+        sd = replace(b.sd, mult=(1, 6, 4))
+        with pytest.raises(NumericalError, match="stalled at rank 5 of 6"):
+            qpoly._factor(sd, 1)
+        with pytest.raises(NumericalError, match="stalled"):
+            balanced_set_check(b.dd, b.ia, sd, 1)
+
+    def test_nan_factor_never_clears(self, small, monkeypatch, expansions):
+        b = small["odd:3"]
+        clean = balanced_set_check(b.dd, b.ia, b.sd, 3)
+        cholesky = qpoly._cholesky
+        monkeypatch.setattr(qpoly, "_cholesky", lambda sd, j: cholesky(sd, j) * np.nan)
+        res = balanced_set_check(b.dd, b.ia, b.sd, 3)
+        assert res.qpoly and res.instances == clean.instances == sum(expansions)
+
+
+class TestDenseEquivalence:
+    # odd:5, above FULL_MODE_LIMIT, is compared in sampled mode only: in full
+    # mode the dense reference takes about 10 s on its negatives and 20 s on E5
+    @pytest.mark.parametrize("spec, mode", [(spec, mode) for spec in CATALOGUE
+                                            for mode in ("full", "sampled")
+                                            if (spec, mode) != ("odd:5", "full")])
+    def test_matches_dense_sweep(self, bundles, expansions, spec, mode):
+        b = bundles[spec]
+        for e in range(1, b.ia.d + 1):
+            expansions.clear()
+            res = balanced_set_check(b.dd, b.ia, b.sd, e, mode=mode)
+            expanded = sum(expansions)
+            assert res.mode == mode
+            if guarded(b, e):
+                assert res.instances == 0 and not res.qpoly
+                continue
+            assert_matches_dense(res, dense_sweep(b, e, mode, b.tol.balanced_rel))
+            if res.qpoly:  # every positive instance clears in the factor
+                assert expanded == 0
+                assert res.worst_residual <= b.tol.balanced_rel
+
+    @pytest.mark.parametrize("spec", CATALOGUE)
+    def test_tight_tolerance_expands_and_matches_dense(self, bundles, expansions, spec):
+        # at 1e-13 few bounds clear, so the verdicts rest on the expansion
+        b = bundles[spec]
+        tol = DEFAULT_TOLERANCES.with_override(1e-13)
+        for e in range(1, b.ia.d + 1):
+            if guarded(b, e):
+                continue
+            expansions.clear()
+            res = balanced_set_check(b.dd, b.ia, b.sd, e, tol=tol)
+            assert expansions  # counted before the reference adds its own
+            assert_matches_dense(res, dense_sweep(b, e, res.mode, 1e-13))
 
 class TestOrderings:
     def test_petersen_both_orderings(self, small):

@@ -17,8 +17,7 @@ from drgq.graphs import distance_data
 from drgq.intersection import IntersectionData, check_distance_regular
 from drgq.spectral import (compute_spectral_data,
                            eigenvalues_from_intersection_array,
-                           inner_product_residual, primitive_idempotents,
-                           standard_sequence)
+                           inner_product_residual, standard_sequence)
 from drgq.tolerances import DEFAULT_TOLERANCES
 
 SPECS = ("petersen", "cycle:6", "hamming:3,2", "hamming:3,3", "johnson:6,3",
@@ -41,6 +40,33 @@ def recurrence_dual(ia, theta, m):
         u.append(((theta - a[i]) * u[i] - c[i - 1] * u[i - 1]) / b[i])
     return np.array(u[:ia.d + 1]) * m
 
+
+
+def primitive_idempotents(dd, theta, eps):
+    """Spectral projectors E_0..E_d of the adjacency matrix, as Lagrange products
+    prod_{l != j} (A - theta_l I)/(theta_j - theta_l), applied factor by factor
+    so intermediates stay O(1).  The reference for the assembled projectors.
+
+    Each projector's idempotency residual is verified against ``eps``.
+    """
+    adj = (dd.dist == 1).astype(np.float64)
+    n = adj.shape[0]
+    idempotents = []
+    for j, tj in enumerate(theta):
+        e = np.eye(n)
+        for l, tl in enumerate(theta):
+            if l == j:
+                continue
+            factor = adj.copy()
+            factor.flat[::n + 1] -= tl
+            factor /= tj - tl
+            e = e @ factor
+        e = 0.5 * (e + e.T)
+        resid = float(np.abs(e @ e - e).max())
+        if resid > eps:
+            raise NumericalError(f"projector {j} idempotency residual {resid:.3e} exceeds {eps:.3e}")
+        idempotents.append(e)
+    return idempotents
 
 class TestEigenvalues:
     @pytest.mark.parametrize("spec,theta,mult", [
