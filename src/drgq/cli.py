@@ -17,7 +17,7 @@ from typing import Optional
 from . import __version__
 from .catalogue import CATALOGUE, CHECK_NAMES, CLAIMS, make_bundle, run_catalogue
 from .errors import MathAssertionError, NumericalError
-from .families import FamilySpec, FamilySpecError
+from .families import FAMILY_KINDS, FamilySpec, FamilySpecError
 from .graph6 import load_graph6_file
 from .graphs import Graph
 from .intersection import NotDRG
@@ -51,14 +51,16 @@ def configure_logging(level: str) -> None:
 
 
 def load_source(source: str) -> tuple[Graph, Optional[FamilySpec], str]:
-    """A family spec like odd:3, or a path to a graph6 file."""
+    """A family spec like odd:3, or a path to a graph6 file.  Text that names
+    a known family and no file fails with the family's own error."""
     try:
         spec = FamilySpec.parse(source)
         return spec.build(), spec, str(spec)
     except FamilySpecError:
-        pass
-    if not os.path.exists(source):
-        raise UsageError(f"cannot interpret {source!r}: not a family spec and no such file")
+        if not os.path.exists(source):
+            if source.strip().partition(":")[0] in FAMILY_KINDS:
+                raise
+            raise UsageError(f"cannot interpret {source!r}: not a family spec and no such file")
     graphs = load_graph6_file(source)
     if len(graphs) != 1:
         raise UsageError(f"{source} holds {len(graphs)} graphs; give a file with exactly one")

@@ -11,10 +11,12 @@ One kernel, ``shell_labels``, labels the components of a shell about
 every base vertex of a block at once.  It holds a label per (vertex, base
 vertex) pair, masked by the shell, and alternates neighbor-minimum steps
 with pointer jumping (Shiloach-Vishkin style) until no label changes; each
-shell component then carries its smallest vertex.  ``shell_connected``
-counts those roots for every connectivity sweep, and the odd-graph census
-reads its component counts, sizes and bipartitions from the same labels,
-on g and on its bipartite double.  The per-vertex functions
+shell component then carries its smallest vertex.  Columns are independent,
+so every claim walks blocks of base vertices (``shell_blocks``) and no label
+array grows with n squared.  ``shell_connected`` counts the roots for every
+connectivity sweep, and the odd-graph census reads its component counts,
+sizes and bipartitions from the same labels, on g and on its bipartite
+double.  The per-vertex functions
 (``last_two_connected``, ``tail_connected``, ``union_subconstituent``)
 remain as the reference the tests compare it against.
 """
@@ -47,8 +49,7 @@ def union_subconstituent(g: Graph, dd: DistanceData, gamma: int,
                          lo: int, hi: int) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the union of spheres lo..hi (original labels returned)."""
     members = np.nonzero((dd.dist[gamma] >= lo) & (dd.dist[gamma] <= hi))[0]
-    sub, verts = induced_subgraph(g, members)
-    return sub, verts
+    return induced_subgraph(g, members)
 
 
 def last_two_connected(g: Graph, dd: DistanceData, gamma: int
@@ -97,6 +98,11 @@ def tail_connected(g: Graph, dd: DistanceData, gamma: int, s: int) -> bool:
     return len(connected_components(sub)) == 1
 
 
+# label entries per block of base-vertex columns: a block's labels, and the
+# census's bipartite lift of them, stay a few hundred KiB whatever n is
+LABEL_BLOCK_ENTRIES = 1 << 15
+
+
 def shell_labels(nbr: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Component labels of shells, one shell per column of ``inside``.
 
@@ -124,22 +130,33 @@ def shell_labels(nbr: np.ndarray, inside: np.ndarray) -> np.ndarray:
         labels = new
 
 
+def shell_blocks(dist: np.ndarray, lo: int, hi: int):
+    """(start, inside) per block of LABEL_BLOCK_ENTRIES base-vertex columns:
+    inside[v, c] says v lies in spheres lo..hi about start + c (dist symmetric)."""
+    n = dist.shape[0]
+    width = max(1, LABEL_BLOCK_ENTRIES // n)
+    for start in range(0, n, width):
+        block = dist[:, start:start + width]
+        yield start, (block >= lo) & (block <= hi)
+
+
 def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
     """Per base vertex gamma, whether the spheres lo..hi about gamma induce a
     connected subgraph (an empty shell counts as disconnected).
 
-    Exhaustive over base vertices: column gamma of ``shell_labels`` holds the
-    labels of gamma's shell, and the shell is connected when exactly one
-    vertex is its own label.  On the regular graphs the sweeps run on a round
-    costs n * 2m.
+    Exhaustive over base vertices, one ``shell_blocks`` block at a time: a
+    shell is connected when exactly one vertex is its own ``shell_labels``
+    label.  On the regular graphs the sweeps run on a round costs n * 2m.
     """
     if not 0 <= lo <= hi <= dd.diameter:
         raise IndexError(f"shell {lo}..{hi} outside 0..{dd.diameter}")
-    inside = (dd.dist >= lo) & (dd.dist <= hi)  # symmetric, so [v, gamma] too
-    labels = shell_labels(g.neighbor_array(), inside)
-    # one root, the component's smallest vertex, per shell component
-    roots = labels == np.arange(g.n)[:, None]
-    return roots.sum(axis=0) == 1
+    nbr, vertex = g.neighbor_array(), np.arange(g.n)[:, None]
+    flags = np.empty(g.n, dtype=bool)
+    for start, inside in shell_blocks(dd.dist, lo, hi):
+        # one root, the component's smallest vertex, per shell component
+        roots = shell_labels(nbr, inside) == vertex
+        flags[start:start + inside.shape[1]] = roots.sum(axis=0) == 1
+    return flags
 
 
 def sweep_last_two(g: Graph, dd: DistanceData) -> tuple[bool, list[bool]]:
@@ -177,11 +194,6 @@ class CensusRecord:
     vertices_checked: int
 
 
-# label entries per census block of base vertices: the sphere labels and
-# their bipartite lift stay a few hundred KiB whatever n is
-CENSUS_BLOCK_ENTRIES = 1 << 15
-
-
 def _odd_core(r: int) -> Graph:
     # r-subsets of a (2r+1)-set with disjointness adjacency; r = 1 gives the
     # triangle, which the census needs even though it is below the public
@@ -196,7 +208,7 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     Checks the component count binom(2m, m)/2, the common component size
     2 binom(2r+1, r), the within-sphere valency and that every component is
     bipartite with equal halves.  Components come from ``shell_labels`` on
-    the spheres of a block of base vertices; bipartiteness from the same
+    the spheres of each ``shell_blocks`` block; bipartiteness from the same
     kernel on the bipartite double of g with the doubled mask: a component
     is bipartite iff its root's two copies lie in different lifted
     components, and its halves are equal iff the root's lift holds as many
@@ -215,7 +227,6 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     expected_count = comb(2 * m, m) // 2
     expected_size = 2 * comb(2 * r + 1, r)
     expected_sphere = comb(d, m) * comb(d + 1, m)
-
     expected_degree = (d + 2) // 2  # the outer sphere's regular valency
     iso_possible = expected_size <= ISO_VERTEX_CAP
     iso_every_vertex = iso_possible and n <= 200
@@ -226,14 +237,10 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     own = vertex[:, None]  # bipartite_double(g).neighbor_array(): v ~ n + w, n + v ~ w
     real = nbr != own  # the padding repeats the row's own vertex
     lift_nbr = np.vstack([np.where(real, nbr + n, own), np.where(real, nbr, own + n)])
-    width = max(1, CENSUS_BLOCK_ENTRIES // n)
     failures: list[str] = []
-    first_sizes: list[int] = []
-    first_count = 0
-    iso_done = 0
+    first_count, first_sizes, iso_done = 0, [], 0
 
-    for start in range(0, n, width):
-        inside = dd.dist[:, start:start + width] == d
+    for start, inside in shell_blocks(dd.dist, d, d):
         labels = shell_labels(nbr, inside)
         lifts = shell_labels(lift_nbr, np.vstack([inside, inside]))
         degrees = (inside[nbr] & real[:, :, None]).sum(axis=1)
@@ -247,8 +254,7 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
             roots = np.flatnonzero(comp == vertex)  # components by smallest vertex
             sizes = sorted(np.bincount(comp, minlength=n + 1)[roots].tolist())
             if gamma == 0:
-                first_count = roots.size
-                first_sizes = sizes
+                first_count, first_sizes = roots.size, sizes
             if roots.size != expected_count:
                 failures.append(
                     f"gamma={gamma}: {roots.size} components, expected {expected_count}")
@@ -273,12 +279,11 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
                         f"gamma={gamma} component {ci}: not bipartite with equal halves")
                 if reference is not None and (iso_every_vertex or gamma == 0):
                     comp_graph = induced_subgraph(g, np.flatnonzero(comp == root)).graph
-                    ok, _ = are_isomorphic(comp_graph, reference)
-                    if not ok:
+                    if are_isomorphic(comp_graph, reference)[0]:
+                        iso_done += 1
+                    else:
                         failures.append(
                             f"gamma={gamma} component {ci}: not isomorphic to the bipartite double")
-                    else:
-                        iso_done += 1
 
     record = CensusRecord(
         d=d, expected_count=expected_count, expected_size=expected_size,

@@ -102,10 +102,14 @@ def read_graph6(line: str, label: Optional[str] = None) -> Graph:
 
 def load_graph6_file(path: str) -> list[Graph]:
     graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                graphs.append(read_graph6(line, label=f"{path}:{lineno}"))
+    with open(path, "rb") as fh:  # decoded line by line, so an error names its line
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("ascii")
+                if line.strip():
+                    graphs.append(read_graph6(line, label=f"{path}:{lineno}"))
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not graphs:
         raise ValueError(f"no graphs found in {path}")
     return graphs

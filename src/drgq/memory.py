@@ -1,8 +1,8 @@
 """Memory model: refuse an input before its n x n arrays are allocated.
 
-Every dense stage holds arrays with one entry per vertex pair, so peak
-memory grows with n squared.  Two stages are modelled: the all-source BFS
-and the analysis after it.  The estimates below are checked against the
+The distances and the balanced-set floats hold an entry per vertex pair, so
+peak memory grows with n squared.  Two stages are modelled: the all-source
+BFS and the analysis after it.  The estimates below are checked against the
 memory available to the process before the arrays exist, so an oversize
 input ends with its estimate (exit 2) instead of swapping or being killed.
 """
@@ -16,10 +16,6 @@ from typing import Optional
 # sweep's factor F of E_j (8 n m_j bytes, m_j < n) and E_j itself, formed
 # lazily for the instances the factor's bound does not clear
 FLOAT_TEMPORARIES = 2
-# n x n int32 arrays alive at once in a sweep's shell_labels (labels, next round,
-# its pointer jump, a gathered column, the off-shell floor), the largest stage;
-# the regularity check's narrow counts and chunk temporaries fit in less
-LABEL_TEMPORARIES = 5
 # the balanced-set sweep's batch buffers, sized by qpoly.BATCH_ENTRIES, not n
 BATCH_BUFFER_BYTES = 4 << 20
 # cgroup v2, then v1; a container's limit may sit far below physical memory
@@ -62,12 +58,11 @@ def distance_bytes(n: int, entries: int) -> int:
 
 
 def analysis_bytes(n: int) -> int:
-    """Peak bytes of the analysis after the BFS: the one-byte distances, a
-    boolean shell and a boolean comparison, the larger of the label and the
-    float64 temporaries, and the batch buffers.  Distance classes, projectors
-    and their factors are formed one at a time, so none is held d + 1 times."""
-    temporaries = max(4 * LABEL_TEMPORARIES, 8 * FLOAT_TEMPORARIES)
-    return n * n * (3 + temporaries) + BATCH_BUFFER_BYTES
+    """Peak bytes of the analysis after the BFS: the one-byte distances, the
+    float64 temporaries and the batch buffers.  The regularity check's narrow
+    counts and the shell sweeps' column blocks fit in less, and distance
+    classes, projectors and factors are formed one at a time."""
+    return n * n * (1 + 8 * FLOAT_TEMPORARIES) + BATCH_BUFFER_BYTES
 
 
 def require(stage: str, need: int) -> None:

@@ -108,6 +108,16 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: ") and str(tmp_path) in err
 
+    @pytest.mark.parametrize("spec, cause", [
+        ("odd:1", "odd graph parameter must be at least 2, got 1"),
+        ("hamming:30,2", "above the 100000 ceiling"),
+        ("johnson:3,5", "johnson parameters need n > k >= 1"),
+    ])
+    def test_family_error_shown(self, capsys, spec, cause):
+        code, out, err = run(capsys, "analyze", spec)
+        assert code == 2 and out == ""
+        assert cause in err and "cannot interpret" not in err
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "analyze", "dodecahedron:5")
         assert code == 2
@@ -273,7 +283,7 @@ class TestMemoryPreflight:
         assert f"{stage}: an estimated {estimate:,} bytes" in err
         assert f"the {budget:,} bytes" in err
 
-    @pytest.mark.parametrize("spec", ("hamming:8,2", "odd:5"))
+    @pytest.mark.parametrize("spec", ("hamming:8,2", "odd:5", "johnson:12,6"))
     def test_analysis_model_covers_measured_peak(self, spec):
         # everything after the BFS: the regularity check, the spectra, the
         # Q-polynomial deciders and every claim; the distances predate tracing

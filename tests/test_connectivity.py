@@ -99,10 +99,14 @@ class TestShellKernel:
     @example(build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]))
     def test_matches_per_vertex_reference(self, g):
         dd = distance_data(g)
-        for lo in range(dd.diameter + 1):
-            for hi in range(lo, dd.diameter + 1):
-                assert (shell_connected(g, dd, lo, hi).tolist()
-                        == _per_vertex_shell_flags(g, dd, lo, hi)), (lo, hi)
+        # blocks of 1 and of 7 base vertices (the last one partial), then one block
+        for entries in (g.n, 7 * g.n, connectivity.LABEL_BLOCK_ENTRIES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(connectivity, "LABEL_BLOCK_ENTRIES", entries)
+                for lo in range(dd.diameter + 1):
+                    for hi in range(lo, dd.diameter + 1):
+                        assert (shell_connected(g, dd, lo, hi).tolist()
+                                == _per_vertex_shell_flags(g, dd, lo, hi)), (entries, lo, hi)
 
     def test_shell_outside_diameter_rejected(self, odd3):
         with pytest.raises(IndexError):
@@ -260,6 +264,15 @@ class TestCensus:
         comp_graph = induced_subgraph(sub, comp).graph
         ok, _ = are_isomorphic(comp_graph, bipartite_double(petersen_graph()))
         assert ok
+
+    @pytest.mark.parametrize("spec", ("odd:3", "odd:4"))
+    @pytest.mark.parametrize("block", (1, 7))
+    def test_blocks_match_one_block(self, bundles, monkeypatch, spec, block):
+        b = bundles[spec]
+        monkeypatch.setattr(connectivity, "LABEL_BLOCK_ENTRIES", b.graph.n ** 2)
+        whole = odd_component_census(b.graph, b.dd)
+        monkeypatch.setattr(connectivity, "LABEL_BLOCK_ENTRIES", block * b.graph.n)
+        assert odd_component_census(b.graph, b.dd) == whole
 
     def test_d_too_small(self, bundles):
         b = bundles["petersen"]

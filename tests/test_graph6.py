@@ -65,6 +65,18 @@ def test_file_roundtrip(tmp_path):
         assert back.n == orig.n and edge_set(back) == edge_set(orig)
 
 
+@pytest.mark.parametrize("body, line, cause", [
+    (b"IheA@GUAo\nIheA@GU\n", 2, "graph6 body length 6 does not match n=10"),
+    (b"IheA@\xffUAo\n", 1, "'ascii' codec can't decode byte 0xff"),
+], ids=["truncated_second_line", "non_ascii_byte"])
+def test_file_error_names_path_and_line(tmp_path, body, line, cause):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as exc:
+        load_graph6_file(str(path))
+    assert str(exc.value).startswith(f"{path}:{line}: {cause}")
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("\n\n")
