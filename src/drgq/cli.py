@@ -99,7 +99,7 @@ def cmd_verify(args) -> int:
     b = make_bundle(g, name, family, tol=tol, mode=args.mode, seed=args.seed)
     if isinstance(b, NotDRG):
         print(f"{name}: {b}", file=sys.stderr)
-        sys.exit(EXIT_NOT_DRG)
+        return EXIT_NOT_DRG
     claim_name = SUITES[args.suite]
     claim = CLAIMS[claim_name](b)
     if claim is None:

@@ -16,9 +16,8 @@ so every claim walks blocks of base vertices (``shell_blocks``) and no label
 array grows with n squared.  ``shell_connected`` counts the roots for every
 connectivity sweep, and the odd-graph census reads its component counts,
 sizes and bipartitions from the same labels, on g and on its bipartite
-double.  The per-vertex functions
-(``last_two_connected``, ``tail_connected``, ``union_subconstituent``)
-remain as the reference the tests compare it against.
+double.  ``subconstituent`` and ``union_subconstituent`` build the per-vertex
+subgraphs the acceptance battery compares the sweeps against.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .errors import MathAssertionError
 # odd_graph is unused here, but the benchmark worker times it under this name
 from .families import disjoint_subset_graph, odd_graph  # noqa: F401
 from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, are_isomorphic,
-                     bipartite_double, connected_components, induced_subgraph)
+                     bipartite_double, induced_subgraph)
 
 log = logging.getLogger(__name__)
 
@@ -50,21 +49,6 @@ def union_subconstituent(g: Graph, dd: DistanceData, gamma: int,
     """Induced subgraph on the union of spheres lo..hi (original labels returned)."""
     members = np.nonzero((dd.dist[gamma] >= lo) & (dd.dist[gamma] <= hi))[0]
     return induced_subgraph(g, members)
-
-
-def last_two_connected(g: Graph, dd: DistanceData, gamma: int
-                       ) -> tuple[bool, list[list[int]]]:
-    """Connectivity of the subgraph on the two outermost spheres about gamma.
-
-    Components are reported in original vertex labels.
-    """
-    d = dd.diameter
-    if d < 2:
-        raise ValueError(f"needs diameter at least 2, got {d}")
-    sub, verts = union_subconstituent(g, dd, gamma, d - 1, d)
-    comps = connected_components(sub)
-    mapped = [[verts[v] for v in comp] for comp in comps]
-    return len(comps) == 1, mapped
 
 
 def dual_sign_change_index(dual: np.ndarray, zero_snap: float = 1e-9) -> int:
@@ -88,14 +72,6 @@ def dual_sign_change_index(dual: np.ndarray, zero_snap: float = 1e-9) -> int:
         raise MathAssertionError(
             f"dual sequence {seq.tolist()} has {len(crossings)} sign crossings, expected exactly 1")
     return crossings[0]
-
-
-def tail_connected(g: Graph, dd: DistanceData, gamma: int, s: int) -> bool:
-    """Connectivity of the subgraph induced on all spheres from radius s outward."""
-    if not 0 <= s <= dd.diameter:
-        raise IndexError(f"tail start {s} outside 0..{dd.diameter}")
-    sub, _ = union_subconstituent(g, dd, gamma, s, dd.diameter)
-    return len(connected_components(sub)) == 1
 
 
 # label entries per block of base-vertex columns: a block's labels, and the
@@ -160,7 +136,8 @@ def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
 
 
 def sweep_last_two(g: Graph, dd: DistanceData) -> tuple[bool, list[bool]]:
-    """last_two_connected at every base vertex; reports are indexed by vertex."""
+    """Whether the last two spheres about each base vertex induce a connected
+    subgraph; reports are indexed by vertex."""
     d = dd.diameter
     if d < 2:
         raise ValueError(f"needs diameter at least 2, got {d}")
@@ -169,7 +146,7 @@ def sweep_last_two(g: Graph, dd: DistanceData) -> tuple[bool, list[bool]]:
 
 
 def sweep_tail(g: Graph, dd: DistanceData, s: int) -> tuple[bool, list[bool]]:
-    """tail_connected at every base vertex."""
+    """Whether the spheres s..d about each base vertex induce a connected subgraph."""
     flags = shell_connected(g, dd, s, dd.diameter).tolist()
     return all(flags), flags
 

@@ -31,29 +31,19 @@ def _encode_size(n: int) -> str:
 
 
 def _decode_size(s: str) -> tuple[int, int]:
-    """Return (n, bytes consumed)."""
+    """Return (n, bytes consumed) of the 1-, 4- or 8-byte size prefix."""
     if not s:
         raise ValueError("empty graph6 string")
-    c0 = ord(s[0])
-    if c0 != 126:
-        if not 63 <= c0 <= 126:
-            raise ValueError(f"invalid graph6 byte {s[0]!r}")
-        return c0 - 63, 1
-    if len(s) >= 2 and ord(s[1]) == 126:
-        if len(s) < 8:
-            raise ValueError("truncated graph6 size prefix")
-        vals = [ord(c) - 63 for c in s[2:8]]
-        n = 0
-        for v in vals:
-            n = (n << 6) | v
-        return n, 8
-    if len(s) < 4:
+    used = 1 if s[0] != "~" else 4 if s[1:2] != "~" else 8
+    if len(s) < used:
         raise ValueError("truncated graph6 size prefix")
-    vals = [ord(c) - 63 for c in s[1:4]]
     n = 0
-    for v in vals:
+    for c in s[used // 4:used]:  # the bytes after the one or two "~" markers
+        v = ord(c) - 63
+        if not 0 <= v <= 63:
+            raise ValueError(f"invalid graph6 byte {c!r}")
         n = (n << 6) | v
-    return n, 4
+    return n, used
 
 
 def write_graph6(g: Graph, header: bool = False) -> str:

@@ -1,11 +1,11 @@
 """Core graph representation and combinatorial primitives.
 
 Graphs are simple and undirected, with vertices 0..n-1 and adjacency kept
-as sorted neighbor tuples (dense matrices and the padded neighbor array are
-derived on demand).  All-pairs distances come from one level-synchronous BFS
-run from every source at once: the frontier is a bit-packed n x n array,
-and each level ORs frontier rows over the neighbor lists, so a level costs
-(2m + n) n / 64 word operations whatever the degrees.  Distances are
+as sorted neighbor tuples (the padded neighbor array is derived on demand).
+All-pairs distances come from one level-synchronous BFS run from every
+source at once: the frontier is a bit-packed n x n array, and each level
+ORs frontier rows over the neighbor lists, so a level costs (2m + n) n / 64
+word operations whatever the degrees.  Distances are
 stored one byte per entry, which keeps the largest catalogue members cheap
 to hold in memory, and they are the only n x n form of the distance
 classes: a check that needs the pairs at distance h takes ``dist == h``.  A
@@ -69,12 +69,6 @@ class Graph:
             else:
                 hi = mid
         return lo < len(nb) and nb[lo] == v
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.uint8)
-        for u in range(self.n):
-            a[u, self.neighbors[u]] = 1
-        return a
 
     def neighbor_array(self) -> np.ndarray:
         """n x max(1, maximum degree) array of neighbors, each row padded with
@@ -250,26 +244,6 @@ def connected_components(g: Graph) -> list[list[int]]:
         comp.sort()
         comps.append(comp)
     return comps
-
-
-def two_coloring(g: Graph) -> Optional[list[int]]:
-    """A proper 2-coloring as a 0/1 list, or None when an odd cycle exists."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            cu = color[u]
-            for w in g.neighbors[u]:
-                if color[w] < 0:
-                    color[w] = 1 - cu
-                    queue.append(w)
-                elif color[w] == cu:
-                    return None
-    return color
 
 
 def bipartite_double(g: Graph) -> Graph:

@@ -1,10 +1,11 @@
 """Memory model: refuse an input before its n x n arrays are allocated.
 
-The distances and the balanced-set floats hold an entry per vertex pair, so
-peak memory grows with n squared.  Two stages are modelled: the all-source
-BFS and the analysis after it.  The estimates below are checked against the
-memory available to the process before the arrays exist, so an oversize
-input ends with its estimate (exit 2) instead of swapping or being killed.
+The distances hold an entry per vertex pair and the balanced-set factor up
+to one float per pair, so peak memory grows with n squared.  Two stages are
+modelled: the all-source BFS and the analysis after it.  The estimates below
+are checked against the memory available to the process before the arrays
+exist, so an oversize input ends with its estimate (exit 2) instead of
+swapping or being killed.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import os
 from typing import Optional
 
 # n x n float64 arrays alive at once beside the distances: the balanced-set
-# sweep's factor F of E_j (8 n m_j bytes, m_j < n) and E_j itself, formed
-# lazily for the instances the factor's bound does not clear
-FLOAT_TEMPORARIES = 2
+# sweep's factor F of E_j (8 n m_j bytes, m_j < n); its expansion reads E_j
+# in column blocks of qpoly.BATCH_ENTRIES entries
+FLOAT_TEMPORARIES = 1
 # the balanced-set sweep's batch buffers, sized by qpoly.BATCH_ENTRIES, not n
 BATCH_BUFFER_BYTES = 4 << 20
 # cgroup v2, then v1; a container's limit may sit far below physical memory
@@ -59,9 +60,9 @@ def distance_bytes(n: int, entries: int) -> int:
 
 def analysis_bytes(n: int) -> int:
     """Peak bytes of the analysis after the BFS: the one-byte distances, the
-    float64 temporaries and the batch buffers.  The regularity check's narrow
-    counts and the shell sweeps' column blocks fit in less, and distance
-    classes, projectors and factors are formed one at a time."""
+    balanced-set factor and the batch buffers.  The regularity check's narrow
+    counts and the shell sweeps' column blocks fit in less, distance classes
+    and factors are formed one at a time, and no dense projector is formed."""
     return n * n * (1 + 8 * FLOAT_TEMPORARIES) + BATCH_BUFFER_BYTES
 
 

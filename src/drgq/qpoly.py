@@ -20,14 +20,14 @@ strictly stronger than inner-product probes.  A batch of instances of one
 V = M - c (e_x - e_y)^T, the sweep first works in a rank-m_j factor F of
 E_j (F F^T = E_j up to a certified delta, from a pivoted Cholesky): each
 instance gets an upper bound on its residual from the m_j-vector V F, and
-only the instances that bound does not clear are expanded to n coordinates
-against the dense E_j, formed once per candidate on first need.  Residuals
-are normalized by max(lhs, rhs, 1/n) so verdicts do not depend on the global
-1/n scaling of the idempotents.  Both modes visit their instances in
-witness order (h, then i < j, then x, y), skip the cells with p^h_ij = 0,
-and stop at the first failure, which is therefore the smallest one; every
-witness and its residual are exact, and on a positive verdict the worst
-residual is a certified upper bound.
+only the instances that bound does not clear are expanded to n coordinates,
+reading E_j as dual[j][dist] / n a block of columns at a time, so the sweep
+forms no n x n float.  Residuals are normalized by max(lhs, rhs, 1/n) so
+verdicts do not depend on the global 1/n scaling of the idempotents.  Both
+modes visit their instances in witness order (h, then i < j, then x, y),
+skip the cells with p^h_ij = 0, and stop at the first failure, which is
+therefore the smallest one; every witness and its residual are exact, and on
+a positive verdict the worst residual is a certified upper bound.
 """
 
 from __future__ import annotations
@@ -151,17 +151,25 @@ def _mask(xs, ys, i, j, dist, out):
     return np.subtract((dx == i) & (dy == j), (dx == j) & (dy == i), out=out, dtype=np.float64)
 
 
-def _residuals(xs, ys, i, j, e_mat, dist, coeff, work):
+def _residuals(xs, ys, i, j, column, dist, coeff, work):
     """Relative residuals of the instances (xs[t], ys[t]) of cell (i, j), as one batch.
 
     Row t of M is the signed indicator of instance t's two mixed distance sets
-    (E is symmetric).  ``work`` holds three reused buffers for the t x n arrays.
+    (E is symmetric).  E_j is column[dist] with ``column`` = dual[j] / n, so
+    M E_j is formed a block of BATCH_ENTRIES entries of E_j's columns at a
+    time; each entry stays one dot product over all n terms, as in the dense
+    product.  ``work`` holds three reused buffers for the t x n arrays.
     """
     t, n = len(xs), dist.shape[0]
     m, lhs, rhs = (w[:t * n].reshape(t, n) for w in work)
-    np.matmul(_mask(xs, ys, i, j, dist, m), e_mat, out=lhs)
-    np.take(e_mat, xs, axis=0, out=rhs)
-    rhs -= np.take(e_mat, ys, axis=0, out=m)
+    _mask(xs, ys, i, j, dist, m)
+    cols = max(1, BATCH_ENTRIES // n)
+    for s in range(0, n, cols):
+        lhs[:, s:s + cols] = m @ column[dist[:, s:s + cols]]
+    # every distance indexes column, so clip never acts; it spares take the
+    # copy of ``out`` that mode="raise" makes
+    np.take(column, dist[xs], out=rhs, mode="clip")
+    rhs -= np.take(column, dist[ys], out=m, mode="clip")
     rhs *= coeff[dist[xs, ys], i, j][:, None]
     scale = np.maximum(np.abs(lhs, out=m).max(axis=1), np.abs(rhs, out=m).max(axis=1))
     np.maximum(scale, 1.0 / n, out=scale)
@@ -197,12 +205,13 @@ def _sweep(blocks, sd, candidate, coeff, p, rel_tol):
     """Check blocks (h, i, j, xs, ys) of instances in witness order; stop at the first failure.
 
     Each batch is bounded in E_j's factor first; the instances whose bound
-    does not clear ``rel_tol`` get their exact residuals.  Returns (worst,
-    instances, witness) over the instances up to and including the witness,
-    or over all of them when none fails.
+    does not clear ``rel_tol`` get their exact residuals from E_j's
+    coordinate vector dual[j] / n.  Returns (worst, instances, witness) over
+    the instances up to and including the witness, or over all of them when
+    none fails.
     """
     dist, n = sd.dist, sd.n
-    fac, e_mat = _factor(sd, candidate), None
+    fac, column = _factor(sd, candidate), sd.dual[candidate] / n
     work = np.empty((3, max(BATCH_ENTRIES, n)))
     size = max(1, BATCH_ENTRIES // n)
     batches = ((h, i, j, xs[s:s + size], ys[s:s + size])
@@ -212,9 +221,7 @@ def _sweep(blocks, sd, candidate, coeff, p, rel_tol):
         rel = _bounds(bx, by, i, j, fac, dist, coeff, p, work)
         unclear = np.flatnonzero(~(rel <= rel_tol))  # NaN never clears
         if unclear.size:
-            if e_mat is None:
-                e_mat = sd.idempotent(candidate)
-            rel[unclear] = _residuals(bx[unclear], by[unclear], i, j, e_mat, dist, coeff, work)
+            rel[unclear] = _residuals(bx[unclear], by[unclear], i, j, column, dist, coeff, work)
             expanded += unclear.size
         bad = np.flatnonzero(rel > rel_tol)
         t = int(bad[0]) if bad.size else rel.size - 1

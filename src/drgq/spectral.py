@@ -8,8 +8,8 @@ an integer are rounded.
 
 The Bose-Mesner algebra is kept in its d+1 coordinates: the dual sequence
 of E_j is m_j times the standard sequence of theta_j, from the three-term
-recurrence, and E_j = dual[j][dist] / n is assembled on demand wherever a
-check needs actual vectors.  Each E_j is certified once, in coordinates:
+recurrence, and E_j = dual[j][dist] / n is read a block at a time wherever
+a check needs actual vectors.  Each E_j is certified once, in coordinates:
 its eigen residual ||A E_j - theta_j E_j|| from the p^h_1j the regularity
 check counted on every pair (coordinate d is the eigenvalue equation; the
 recurrence gives the others), and its idempotency residual ||E_j^2 - E_j||
@@ -107,7 +107,9 @@ class SpectralData:
     idempotency_residual: float      # max_j ||E_j^2 - E_j||_max
 
     def idempotent(self, j: int) -> np.ndarray:
-        """The dense projector E_j = dual[j][dist] / n."""
+        """The dense projector E_j = dual[j][dist] / n: the acceptance battery's
+        reference.  The pipeline never calls it; it reads E_j in blocks from
+        the coordinates instead."""
         return (self.dual[j] / self.n)[self.dist]
 
 

@@ -130,6 +130,14 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["spectral"]["theta"] == [3.0, 1.0, -2.0]
 
+    @pytest.mark.parametrize("line", ["~!!!", "~~!!!!!!"], ids=["4_byte", "8_byte"])
+    def test_bad_size_prefix_exits_usage(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.g6"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}:1: invalid graph6 byte '!'")
+
     def test_multi_graph_file_refused(self, capsys, tmp_path):
         path = tmp_path / "two.g6"
         save_graph6_file(str(path), [petersen_graph(), cycle_graph(7)])
@@ -198,9 +206,9 @@ class TestVerify:
         assert code == 0 and "agree" in out
 
     def test_not_drg_target(self, capsys, path_graph_file):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "verify", "thm1", path_graph_file)
-        assert exc.value.code == 3
+        code, out, err = run(capsys, "verify", "thm1", path_graph_file)
+        assert code == 3 and out == ""
+        assert err.startswith(f"{path_graph_file}: ")
 
 
 class TestCatalogue:

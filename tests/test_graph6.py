@@ -55,6 +55,13 @@ def test_bad_byte_rejected():
         read_graph6("B\x07")
 
 
+@pytest.mark.parametrize("line", ["~!!!", "~~!!!!!!"], ids=["4_byte", "8_byte"])
+def test_bad_size_prefix_byte_rejected(line):
+    # every byte of a multi-byte size prefix lies in 63..126
+    with pytest.raises(ValueError, match="invalid graph6 byte '!'"):
+        read_graph6(line)
+
+
 def test_file_roundtrip(tmp_path):
     graphs = [petersen_graph(), cycle_graph(6), complete_graph(4)]
     path = tmp_path / "batch.g6"

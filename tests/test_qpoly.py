@@ -2,9 +2,9 @@
 
 Brute-force re-computation from raw definitions backs every assertion that
 matters: instance sums are rebuilt from sphere intersections, never through
-the production sweep's vectorized path.  The sweep's factor kernel is held
-to a dense reference sweep kept here, which sends every instance through
-the exact M @ E_j residuals.
+the production sweep's vectorized path.  The sweep's factor kernel and its
+column-blocked expansion are held to a dense reference sweep kept here,
+which sends every instance through M @ E_j on the dense projector.
 """
 
 from dataclasses import replace
@@ -16,9 +16,12 @@ import pytest
 from drgq import qpoly
 from drgq.catalogue import CATALOGUE
 from drgq.errors import NumericalError
+from drgq.families import build_family
 from drgq.qpoly import (SAMPLE_INSTANCES, _ordering_for_candidate, balanced_set_check,
                         krein_orderings, krein_parameters, qpoly_orderings,
                         qpoly_report, resolve_mode)
+from drgq.report import run_analysis
+from drgq.spectral import SpectralData
 from drgq.tolerances import DEFAULT_TOLERANCES
 
 
@@ -58,6 +61,25 @@ def brute_sides(b, e, x, y, i, j):
     return lhs, rhs
 
 
+def dense_residuals(xs, ys, i, j, e_mat, dist, coeff, work):
+    """The dense reference kernel: the relative residuals of one batch as
+    M @ E_j against the dense projector."""
+    t, n = len(xs), dist.shape[0]
+    m, lhs, rhs = (w[:t * n].reshape(t, n) for w in work)
+    np.matmul(qpoly._mask(xs, ys, i, j, dist, m), e_mat, out=lhs)
+    np.take(e_mat, xs, axis=0, out=rhs)
+    rhs -= np.take(e_mat, ys, axis=0, out=m)
+    rhs *= coeff[dist[xs, ys], i, j][:, None]
+    scale = np.maximum(np.abs(lhs, out=m).max(axis=1), np.abs(rhs, out=m).max(axis=1))
+    np.maximum(scale, 1.0 / n, out=scale)
+    return np.abs(np.subtract(lhs, rhs, out=m), out=m).max(axis=1) / scale
+
+
+def column_of(b, e):
+    """E_e's coordinate vector: its value on a pair at distance h."""
+    return b.sd.dual[e] / b.graph.n
+
+
 def dense_sweep(b, e, mode, rel_tol, sample_size=SAMPLE_INSTANCES, seed=0):
     """The dense reference: every instance of the stream through M @ E_j, in
     witness order, stopping at the first failure.  Returns (worst, instances,
@@ -71,7 +93,7 @@ def dense_sweep(b, e, mode, rel_tol, sample_size=SAMPLE_INSTANCES, seed=0):
     for h, i, j, xs, ys in qpoly._instance_blocks(dist, b.ia.p, mode, sample_size, seed):
         for s in range(0, len(xs), size):
             bx, by = xs[s:s + size], ys[s:s + size]
-            rel = qpoly._residuals(bx, by, i, j, e_mat, dist, coeff, work)
+            rel = dense_residuals(bx, by, i, j, e_mat, dist, coeff, work)
             bad = np.flatnonzero(rel > rel_tol)
             t = int(bad[0]) if bad.size else rel.size - 1
             worst = max(worst, float(rel[:t + 1].max()))
@@ -215,6 +237,7 @@ class TestBalancedSet:
 
 class TestBatchedKernel:
     def test_residuals_match_definition(self, small):
+        # the production kernel and the dense reference, both against brute force
         b = small["odd:3"]
         n, rng = b.graph.n, np.random.default_rng(7)
         xs = rng.integers(n, size=60)
@@ -223,11 +246,32 @@ class TestBatchedKernel:
         for e in (1, 3):
             coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
             for i, j in ((0, 1), (1, 2), (1, 3), (2, 3)):
-                got = qpoly._residuals(xs, ys, i, j, b.sd.idempotent(e), b.dd.dist, coeff, work)
-                for x, y, rel in zip(xs, ys, got):
-                    lhs, rhs = brute_sides(b, e, int(x), int(y), i, j)
-                    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1 / n)
-                    assert abs(np.abs(lhs - rhs).max() / scale - rel) <= 1e-12
+                rest = (b.dd.dist, coeff, work)
+                for got in (qpoly._residuals(xs, ys, i, j, column_of(b, e), *rest),
+                            dense_residuals(xs, ys, i, j, b.sd.idempotent(e), *rest)):
+                    for x, y, rel in zip(xs, ys, got):
+                        lhs, rhs = brute_sides(b, e, int(x), int(y), i, j)
+                        scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1 / n)
+                        assert abs(np.abs(lhs - rhs).max() / scale - rel) <= 1e-12
+
+    @pytest.mark.parametrize("width", [1, 7])
+    @pytest.mark.parametrize("spec", ["odd:3", "hamming:3,3", "johnson:7,3"])
+    def test_blocks_match_dense_reference(self, bundles, monkeypatch, spec, width):
+        # M E_j formed a block of 1 and of 7 columns of E_j at a time
+        b = bundles[spec]
+        n, dist, rng = b.graph.n, b.dd.dist, np.random.default_rng(13)
+        xs = rng.integers(n, size=40)
+        ys = (xs + 1 + rng.integers(n - 1, size=40)) % n
+        work = np.empty((3, max(qpoly.BATCH_ENTRIES, 40 * n)))
+        monkeypatch.setattr(qpoly, "BATCH_ENTRIES", width * n)
+        for e in range(1, b.ia.d + 1):
+            if guarded(b, e):
+                continue
+            coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
+            for i, j in cells_of(b):
+                got = qpoly._residuals(xs, ys, i, j, column_of(b, e), dist, coeff, work)
+                ref = dense_residuals(xs, ys, i, j, b.sd.idempotent(e), dist, coeff, work)
+                assert np.abs(got - ref).max() <= 1e-12, (e, i, j)
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("spec", ["odd:3", "hamming:3,3", "johnson:7,3"])
@@ -319,7 +363,7 @@ class TestBatchedKernel:
         xs, ys = np.nonzero(b.dd.dist == 1)
         work = np.empty((3, max(qpoly.BATCH_ENTRIES, b.graph.n)))
         assert b.ia.p[1, 0, 2] == 0
-        rel = qpoly._residuals(xs, ys, 0, 2, b.sd.idempotent(1), b.dd.dist, coeff, work)
+        rel = qpoly._residuals(xs, ys, 0, 2, column_of(b, 1), b.dd.dist, coeff, work)
         assert rel.size == len(xs) and not rel.any()
 
 
@@ -349,7 +393,7 @@ class TestFactorKernel:
                 coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
                 e_mat = b.sd.idempotent(e)
                 for i, j in cells_of(b):
-                    exact = qpoly._residuals(xs, ys, i, j, e_mat, dist, coeff, work)
+                    exact = dense_residuals(xs, ys, i, j, e_mat, dist, coeff, work)
                     bound = qpoly._bounds(xs, ys, i, j, fac, dist, coeff, b.ia.p, work)
                     assert np.all(bound >= exact), (b.name, e, i, j)
                     passing += int((exact <= tol).sum())
@@ -432,6 +476,29 @@ class TestDenseEquivalence:
             res = balanced_set_check(b.dd, b.ia, b.sd, e, tol=tol)
             assert expansions  # counted before the reference adds its own
             assert_matches_dense(res, dense_sweep(b, e, res.mode, 1e-13))
+
+
+class TestNoDenseProjector:
+    """The pipeline forms no dense E_j: it runs with SpectralData.idempotent
+    made to raise."""
+
+    @pytest.fixture
+    def no_dense(self, monkeypatch):
+        def refuse(self, j):
+            raise AssertionError(f"dense E_{j} formed")
+        monkeypatch.setattr(SpectralData, "idempotent", refuse)
+
+    @pytest.mark.parametrize("spec", CATALOGUE + ("hamming:8,2",))
+    def test_analysis(self, no_dense, spec):
+        report = run_analysis(build_family(spec), spec)
+        assert report["intersection"]["is_drg"] and report["qpoly"]["consistent"]
+
+    def test_expanded_instances_at_tight_tolerance(self, bundles, no_dense, expansions):
+        tol = DEFAULT_TOLERANCES.with_override(1e-13)
+        for b in bundles.values():
+            qpoly_report(b.dd, b.ia, b.sd, tol=tol)
+        assert sum(expansions) > 0
+
 
 class TestOrderings:
     def test_petersen_both_orderings(self, small):

@@ -1,7 +1,10 @@
 """Rules on the package source itself.
 
 Verification must survive ``python -O``, which strips ``assert`` statements,
-so the package raises its documented errors instead of asserting.
+so the package raises its documented errors instead of asserting.  The dense
+projector ``SpectralData.idempotent`` is the acceptance battery's reference
+only: the pipeline reads E_j from its d+1 coordinates and forms no n x n
+float after the BFS.
 """
 
 import ast
@@ -22,3 +25,11 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+def test_dense_projector_only_in_spectral():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "spectral.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "idempotent"]
+    assert not found, f"dense projector referenced outside spectral.py: {', '.join(found)}"
