@@ -21,6 +21,7 @@ from .families import FAMILY_KINDS, FamilySpec, FamilySpecError
 from .graph6 import load_graph6_file
 from .graphs import Graph
 from .intersection import NotDRG
+from .qpoly import FULL_MODE_LIMIT
 from .report import SECTIONS, render_pretty, run_analysis, to_json
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=None,
                        help="override residual tolerances (matrix base and balanced-set relative)")
         p.add_argument("--mode", choices=("auto", "full", "sampled"), default="auto",
-                       help="balanced-set sweep mode (auto: full up to 200 vertices)")
+                       help=f"balanced-set sweep mode (auto: full up to {FULL_MODE_LIMIT} vertices)")
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
         p.add_argument("--log-level", choices=LOG_LEVELS, default="warning",

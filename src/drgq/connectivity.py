@@ -15,8 +15,8 @@ shell component then carries its smallest vertex.  Columns are independent,
 so every claim walks blocks of base vertices (``shell_blocks``) and no label
 array grows with n squared.  ``shell_connected`` counts the roots for every
 connectivity sweep, and the odd-graph census reads its component counts,
-sizes and bipartitions from the same labels, on g and on its bipartite
-double.  ``subconstituent`` and ``union_subconstituent`` build the per-vertex
+sizes and bipartitions from one labelling of the bipartite double of g.
+``subconstituent`` and ``union_subconstituent`` build the per-vertex
 subgraphs the acceptance battery compares the sweeps against.
 """
 
@@ -33,6 +33,7 @@ from .errors import MathAssertionError
 from .families import disjoint_subset_graph, odd_graph  # noqa: F401
 from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, are_isomorphic,
                      bipartite_double, induced_subgraph)
+from .qpoly import FULL_MODE_LIMIT
 
 log = logging.getLogger(__name__)
 
@@ -184,15 +185,16 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
 
     Checks the component count binom(2m, m)/2, the common component size
     2 binom(2r+1, r), the within-sphere valency and that every component is
-    bipartite with equal halves.  Components come from ``shell_labels`` on
-    the spheres of each ``shell_blocks`` block; bipartiteness from the same
-    kernel on the bipartite double of g with the doubled mask: a component
-    is bipartite iff its root's two copies lie in different lifted
-    components, and its halves are equal iff the root's lift holds as many
-    layer-0 as layer-1 vertices.  When components are at most
+    bipartite with equal halves, from one ``shell_labels`` run per
+    ``shell_blocks`` block on the bipartite double of g: a component C lifts
+    to C+ and C-, or to X+ Y- and Y+ X- when bipartite with halves X and Y,
+    so the smaller of v's two lifted labels is min C (every + index is below
+    every - index); C is bipartite iff its root's two copies lie in
+    different lifted components, and its halves are equal iff the root's
+    lift holds as many layer-0 as layer-1 vertices.  When components are at most
     ``ISO_VERTEX_CAP`` vertices, each is certified isomorphic to the
     bipartite double of the order-r odd-graph core: at every base vertex
-    when n <= 200, otherwise at vertex 0.  The record reports vertex 0.
+    when n <= FULL_MODE_LIMIT, otherwise at vertex 0.  The record reports vertex 0.
 
     Raises MathAssertionError naming the first failures.
     """
@@ -206,11 +208,10 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     expected_sphere = comb(d, m) * comb(d + 1, m)
     expected_degree = (d + 2) // 2  # the outer sphere's regular valency
     iso_possible = expected_size <= ISO_VERTEX_CAP
-    iso_every_vertex = iso_possible and n <= 200
+    iso_every_vertex = iso_possible and n <= FULL_MODE_LIMIT
     reference = bipartite_double(_odd_core(r)) if iso_possible else None
 
-    vertex = np.arange(n)
-    nbr = g.neighbor_array()
+    vertex, nbr = np.arange(n), g.neighbor_array()
     own = vertex[:, None]  # bipartite_double(g).neighbor_array(): v ~ n + w, n + v ~ w
     real = nbr != own  # the padding repeats the row's own vertex
     lift_nbr = np.vstack([np.where(real, nbr + n, own), np.where(real, nbr, own + n)])
@@ -218,8 +219,8 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     first_count, first_sizes, iso_done = 0, [], 0
 
     for start, inside in shell_blocks(dd.dist, d, d):
-        labels = shell_labels(nbr, inside)
         lifts = shell_labels(lift_nbr, np.vstack([inside, inside]))
+        labels = np.minimum(np.minimum(lifts[:n], lifts[n:]), n)  # off the shell both are 2n
         degrees = (inside[nbr] & real[:, :, None]).sum(axis=1)
         for c in range(inside.shape[1]):
             gamma = start + c
@@ -240,11 +241,10 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
                     f"gamma={gamma}: component sizes {sizes}, expected all {expected_size}")
                 continue
             off_degree = set(comp[inside[:, c] & (degrees[:, c] != expected_degree)].tolist())
-            lift = lifts[:, c]
-            lift_root = lift[roots]
-            layer0 = np.bincount(lift[:n], minlength=2 * n + 1)[lift_root]
-            layer1 = np.bincount(lift[n:], minlength=2 * n + 1)[lift_root]
-            halves = ((lift_root != lift[n + roots]) & (layer0 == layer1)).tolist()
+            lift = lifts[:, c]  # a root r = min C labels its own lift
+            layer0 = np.bincount(lift[:n], minlength=2 * n + 1)[roots]
+            layer1 = np.bincount(lift[n:], minlength=2 * n + 1)[roots]
+            halves = ((roots != lift[n + roots]) & (layer0 == layer1)).tolist()
             for ci, root in enumerate(roots.tolist()):
                 if root in off_degree:
                     found = sorted(set(degrees[comp == root, c].tolist()))

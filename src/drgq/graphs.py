@@ -15,6 +15,7 @@ model is consulted before anything of size n x n is allocated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -60,15 +61,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors[u]
-        # neighbor tuples are sorted; binary search beats linear scan on hubs
-        lo, hi = 0, len(nb)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if nb[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(nb) and nb[lo] == v
+        i = bisect_left(nb, v)  # neighbor tuples are sorted
+        return i < len(nb) and nb[i] == v
 
     def neighbor_array(self) -> np.ndarray:
         """n x max(1, maximum degree) array of neighbors, each row padded with

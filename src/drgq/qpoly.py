@@ -24,10 +24,9 @@ only the instances that bound does not clear are expanded to n coordinates,
 reading E_j as dual[j][dist] / n a block of columns at a time, so the sweep
 forms no n x n float.  Residuals are normalized by max(lhs, rhs, 1/n) so
 verdicts do not depend on the global 1/n scaling of the idempotents.  Both
-modes visit their instances in witness order (h, then i < j, then x, y),
-skip the cells with p^h_ij = 0, and stop at the first failure, which is
-therefore the smallest one; every witness and its residual are exact, and on
-a positive verdict the worst residual is a certified upper bound.
+modes visit the cells 1 <= i < j with p^h_ij > 0 in witness order (h, i, j,
+then x, y) and stop at the first failure, the smallest one; every witness
+and its residual are exact, and a positive worst residual is a certified bound.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ Witness = tuple[int, int, int, int, int, float]  # (h, i, j, x, y, residual)
 @dataclass
 class BalancedSetResult:
     """One candidate's verdict.  ``instances`` and ``worst_residual`` cover the
-    non-vacuous instances (p^h_ij > 0) up to and including the witness, or
-    all of them on a positive verdict.  On a negative verdict
+    live instances (cells 1 <= i < j with p^h_ij > 0) up to and including the
+    witness, or all of them on a positive verdict.  On a negative verdict
     ``worst_residual`` is the witness's exact residual; on a positive one it
     is a certified upper bound on every instance's residual."""
 
@@ -235,34 +234,40 @@ def _sweep(blocks, sd, candidate, coeff, p, rel_tol):
     return worst, checked, witness
 
 
-def _sampled_blocks(dist, ij_pairs, sample_size, seed):
-    """A seeded instance stream dealt round-robin to the cells, one block per (h, cell)."""
-    n = dist.shape[0]
-    # one call draws the same stream as alternating scalar draws of x and y
-    draws = np.random.default_rng(seed).integers(np.tile([n, n - 1], sample_size))
-    xs, ys = draws[0::2], draws[1::2]
-    ys += ys >= xs
-    key = dist[xs, ys].astype(np.intp) * len(ij_pairs) + np.arange(sample_size) % len(ij_pairs)
-    order = np.lexsort((ys, xs, key))
-    keys, starts = np.unique(key[order], return_index=True)
-    for k, block in zip(keys.tolist(), np.split(order, starts[1:])):
-        h, c = divmod(k, len(ij_pairs))
-        yield (h, *ij_pairs[c], xs[block], ys[block])
+def _sampled_pairs(dist, per_pair, sample_size, seed):
+    """The shortest prefix of the seeded pair stream whose live instances,
+    per_pair[dist[x, y]] for a pair, reach ``sample_size``, sorted row-major."""
+    n, pairs, reached = dist.shape[0], sample_size, [0]  # enough unless a level has no live cell
+    while reached[-1] < sample_size:
+        # one call draws the same stream as alternating scalar draws of x and y
+        draws = np.random.default_rng(seed).integers(np.tile([n, n - 1], pairs))
+        xs, ys = draws[0::2], draws[1::2]
+        ys += ys >= xs
+        reached, pairs = np.cumsum(per_pair[dist[xs, ys]]), 2 * pairs
+    stop = int(np.searchsorted(reached, sample_size)) + 1
+    order = np.lexsort((ys[:stop], xs[:stop]))
+    return xs[order], ys[order]
 
 
 def _instance_blocks(dist, p, mode, sample_size, seed):
-    """The non-vacuous instance blocks (h, i, j, xs, ys) of a resolved mode, in
-    witness order: every pair at distance h (full) or the seeded draws
-    (sampled), for each cell i < j with p^h_ij > 0."""
+    """The instance blocks (h, i, j, xs, ys) of a resolved mode in witness
+    order: per level h, each live cell 1 <= i < j with p^h_ij > 0 over the
+    level's pairs, row-major; full mode takes every pair, sampled mode the
+    shortest seeded pair prefix with ``sample_size`` live instances.  No
+    other cell can fail: p^h_ij = 0 empties both mixed sets, and (0, h) has
+    mixed sets {x}, {y} and coefficient exactly 1.0, so both sides are Ex - Ey."""
     d = p.shape[0] - 1
-    ij_pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
+    live = [[(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1) if p[h, i, j]]
+            for h in range(d + 1)]
     if mode == "full":  # one level dist == h at a time
-        levels = ((h, np.nonzero(dist == h)) for h in range(1, d + 1))
-        stream = ((h, i, j, xs, ys) for h, (xs, ys) in levels for i, j in ij_pairs)
+        levels = ((h, *np.nonzero(dist == h)) for h in range(1, d + 1) if live[h])
+    elif sample_size > 0 and any(live):
+        xs, ys = _sampled_pairs(dist, np.array([len(c) for c in live]), sample_size, seed)
+        hs = dist[xs, ys]
+        levels = ((h, xs[hs == h], ys[hs == h]) for h in range(1, d + 1) if live[h])
     else:
-        stream = _sampled_blocks(dist, ij_pairs, sample_size, seed)
-    # a vacuous cell (p^h_ij = 0) has empty mixed sets and coefficient 0: residual exactly 0
-    return (block for block in stream if p[block[:3]])
+        levels = ()
+    return ((h, i, j, xs, ys) for h, xs, ys in levels for i, j in live[h])
 
 
 def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
@@ -271,9 +276,9 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> BalancedSetResult:
     """Decide the balanced-set condition for one nontrivial idempotent.
 
-    Full mode checks every (h, i<j, x, y) instance, sampled mode a seeded
-    pseudorandom stream dealt round-robin to the (i, j) cells; both stop at
-    the first failure in that order.  Duplicate dual values against index 0
+    Full mode checks every live (h, i<j, x, y) instance, sampled mode those of
+    a seeded prefix of pairs holding at least ``sample_size`` of them; both
+    stop at the first failure in that order.  Duplicate dual values against index 0
     short-circuit to a negative verdict (the condition's own precondition).
     """
     if candidate == 0:
@@ -431,7 +436,6 @@ class QPolyReport:
     balanced: dict[int, BalancedSetResult]
     span_orderings: list[list[int]]
     krein_orderings: list[list[int]]
-    krein_tensor: np.ndarray
     consistent: bool
     disagreements: list[str]
 
@@ -472,5 +476,5 @@ def qpoly_report(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                 f"{balanced[e].worst_residual:.3e}, witness {balanced[e].witness})")
     if sorted(span) != sorted(krein):
         disagreements.append(f"ordering lists differ: span={span} krein={krein}")
-    return QPolyReport(balanced, span, krein, q, not disagreements, disagreements)
+    return QPolyReport(balanced, span, krein, not disagreements, disagreements)
 

@@ -17,6 +17,7 @@ from drgq.families import build_family, cycle_graph, petersen_graph
 from drgq.graphs import (ISO_VERTEX_CAP, DistanceData, are_isomorphic, bipartite_double,
                          build_graph, connected_components, distance_data,
                          induced_subgraph)
+from drgq.qpoly import FULL_MODE_LIMIT
 from reference import last_two_connected, tail_connected, two_coloring
 
 
@@ -215,7 +216,7 @@ def _per_vertex_census(g, dd, clean):
             if coloring is None or coloring.count(0) != coloring.count(1):
                 halves_ok = False
                 failures.append(f"gamma={gamma} component {ci}: not bipartite with equal halves")
-            if not clean.iso_skipped and (g.n <= 200 or gamma == 0):
+            if not clean.iso_skipped and (g.n <= FULL_MODE_LIMIT or gamma == 0):
                 if are_isomorphic(comp_graph, reference)[0]:
                     iso += 1
                 else:
@@ -273,6 +274,28 @@ class TestCensus:
         whole = odd_component_census(b.graph, b.dd)
         monkeypatch.setattr(connectivity, "LABEL_BLOCK_ENTRIES", block * b.graph.n)
         assert odd_component_census(b.graph, b.dd) == whole
+
+    @staticmethod
+    def _assert_double_labels_match(g, inside):
+        # the census's labels of g, read from one labelling of its bipartite double
+        n = g.n
+        lifts = connectivity.shell_labels(bipartite_double(g).neighbor_array(),
+                                          np.vstack([inside, inside]))
+        labels = np.minimum(np.minimum(lifts[:n], lifts[n:]), n)
+        assert np.array_equal(labels, connectivity.shell_labels(g.neighbor_array(), inside))
+
+    @pytest.mark.parametrize("spec", ("odd:3", "odd:4", "odd:5"))
+    def test_double_labels_match_shell_labels(self, bundles, spec):
+        b = bundles[spec]
+        for _, inside in connectivity.shell_blocks(b.dd.dist, b.dd.diameter, b.dd.diameter):
+            self._assert_double_labels_match(b.graph, inside)
+
+    def test_double_labels_match_on_doctored_shells(self, bundles):
+        # random shells of the Petersen graph hold odd cycles, bipartite
+        # pieces and isolated vertices; the first is the whole graph
+        inside = np.random.default_rng(11).random((10, 64)) < 0.7
+        inside[:, 0] = True
+        self._assert_double_labels_match(bundles["petersen"].graph, inside)
 
     def test_d_too_small(self, bundles):
         b = bundles["petersen"]

@@ -35,15 +35,22 @@ def cells_of(b):
     return [(i, j) for i in range(b.ia.d + 1) for j in range(i + 1, b.ia.d + 1)]
 
 
+def live_cells(b, h):
+    """The cells 1 <= i < j with p^h_ij > 0, the only ones that can fail at level h."""
+    return [(i, j) for i, j in cells_of(b) if i >= 1 and b.ia.p[h, i, j]]
+
+
 def drawn_sample(b, sample_size, seed):
-    """The sampled sweep's instances (h, i, j, x, y), from scalar draws dealt round-robin."""
-    n, cells = b.graph.n, cells_of(b)
+    """The sampled sweep's instances (h, i, j, x, y), from scalar draws: every
+    live cell of each drawn pair, until sample_size instances are reached."""
+    n = b.graph.n
     rng = np.random.default_rng(seed)
     sample = []
-    for t in range(sample_size):
+    while len(sample) < sample_size:
         x, y = int(rng.integers(n)), int(rng.integers(n - 1))
         y += y >= x
-        sample.append((int(b.dd.dist[x, y]), *cells[t % len(cells)], x, y))
+        h = int(b.dd.dist[x, y])
+        sample.extend((h, i, j, x, y) for i, j in live_cells(b, h))
     return sample
 
 
@@ -216,10 +223,10 @@ class TestBalancedSet:
                                    sample_size=2000)
         assert again.witness == runs[0].witness
         assert again.worst_residual == runs[0].worst_residual
-        # the instances up to the witness; the positive run checks the 1166
-        # of its 2000 draws that fall in non-vacuous cells
-        assert again.seed == 0 and again.instances == 661
-        assert runs[1].instances == 1166
+        # the instances up to the witness; the positive run checks the live
+        # instances of the shortest pair prefix holding 2000 of them
+        assert again.seed == 0 and again.instances == 763
+        assert runs[1].instances == 2001
 
     def test_trivial_idempotent_rejected(self, small):
         b = small["petersen"]
@@ -295,7 +302,7 @@ class TestBatchedKernel:
         sampled = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="sampled", seed=0,
                                      sample_size=2000)
         full = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="full")
-        assert sampled.witness[:5] == (3, 1, 2, 0, 11)
+        assert sampled.witness[:5] == (3, 1, 2, 0, 9)
         assert full.witness[:5] == (3, 1, 2, 0, 9)
 
     def test_pinned_witnesses_large(self, bundles):
@@ -304,7 +311,7 @@ class TestBatchedKernel:
             assert odd4[e].mode == "full" and odd4[e].witness[:5] == (3, 1, 2, 0, 46)
         assert odd4[4].qpoly
         for e in (1, 2, 3, 4):
-            assert odd5[e].mode == "sampled" and odd5[e].witness[:5] == (3, 1, 2, 10, 351)
+            assert odd5[e].mode == "sampled" and odd5[e].witness[:5] == (3, 1, 2, 0, 207)
         assert odd5[5].qpoly
 
     def test_witness_entries_are_python_scalars(self, small):
@@ -314,26 +321,23 @@ class TestBatchedKernel:
             assert [type(v) for v in w] == [int] * 5 + [float]
 
     def test_full_positive_counts_every_instance(self, bundles):
-        # the n k_h pairs at distance h, once per cell with p^h_ij > 0
+        # the n k_h pairs at distance h, once per cell 1 <= i < j with p^h_ij > 0
         for b in bundles.values():
             for res in b.qpoly.balanced.values():
                 if res.mode == "full" and res.qpoly:
-                    n, p = b.graph.n, b.ia.p
                     assert res.instances == sum(
-                        n * b.ia.sphere_sizes[h] * sum(1 for i, j in cells_of(b) if p[h, i, j])
+                        b.graph.n * b.ia.sphere_sizes[h] * len(live_cells(b, h))
                         for h in range(1, b.ia.d + 1))
 
     def test_full_negative_counts_up_to_witness(self, small):
-        # non-vacuous instances before the witness in (h, i<j, x, y) order, plus the witness
+        # live instances before the witness in (h, i<j, x, y) order, plus the witness
         b = small["odd:3"]
         res = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="full")
         h, i, j, x, y, rel = res.witness
-        cells, dist, p = cells_of(b), b.dd.dist, b.ia.p
-        before = sum(int((dist == hh).sum()) * sum(1 for c in cells if p[(hh, *c)])
-                     for hh in range(1, h))
+        dist = b.dd.dist
+        before = sum(int((dist == hh).sum()) * len(live_cells(b, hh)) for hh in range(1, h))
         pairs = [tuple(map(int, q)) for q in np.argwhere(dist == h)]
-        live_before = sum(1 for c in cells[:cells.index((i, j))] if p[(h, *c)])
-        before += live_before * len(pairs) + pairs.index((x, y))
+        before += live_cells(b, h).index((i, j)) * len(pairs) + pairs.index((x, y))
         assert res.instances == before + 1
         assert res.worst_residual >= rel
 
@@ -350,21 +354,42 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("spec, negatives", [("odd:4", (1, 2, 3)), ("johnson:7,3", (2, 3))])
     def test_sampled_negative_counts_up_to_witness(self, bundles, spec, negatives):
-        # the witness's position in the sample's non-vacuous witness order, plus one
+        # the witness's position in the sample's live witness order, plus one
         b = bundles[spec]
-        live = sorted(inst for inst in drawn_sample(b, 700, 5) if b.ia.p[inst[:3]])
+        live = sorted(drawn_sample(b, 700, 5))
         for e in negatives:
             res = balanced_set_check(b.dd, b.ia, b.sd, e, mode="sampled", seed=5, sample_size=700)
             assert res.instances == live.index(res.witness[:5]) + 1
 
     def test_vacuous_cell_residual_is_exactly_zero(self, small):
+        # the cells the sweep skips: p^h_ij = 0, and (0, h), whose sides are both E x - E y
         b = small["odd:3"]
-        coeff = qpoly._coefficients(b.ia, b.sd.dual[1])
-        xs, ys = np.nonzero(b.dd.dist == 1)
         work = np.empty((3, max(qpoly.BATCH_ENTRIES, b.graph.n)))
         assert b.ia.p[1, 0, 2] == 0
-        rel = qpoly._residuals(xs, ys, 0, 2, column_of(b, 1), b.dd.dist, coeff, work)
-        assert rel.size == len(xs) and not rel.any()
+        cells = [(1, 0, 2)] + [(h, 0, h) for h in range(1, b.ia.d + 1)]
+        for e in range(1, b.ia.d + 1):
+            coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
+            for h, i, j in cells:
+                xs, ys = np.nonzero(b.dd.dist == h)
+                rel = qpoly._residuals(xs, ys, i, j, column_of(b, e), b.dd.dist, coeff, work)
+                assert rel.size == len(xs) and not rel.any(), (e, h, i, j)
+
+    def test_sampled_positive_checks_nominal_live_instances(self, bundles, monkeypatch):
+        b = bundles["odd:5"]
+        seen = []
+        stream = qpoly._instance_blocks
+
+        def spy(*args):
+            for block in stream(*args):
+                seen.append((*block[:3], len(block[3])))
+                yield block
+
+        monkeypatch.setattr(qpoly, "_instance_blocks", spy)
+        res = balanced_set_check(b.dd, b.ia, b.sd, 5)
+        assert res.qpoly and res.mode == "sampled"
+        assert res.instances >= SAMPLE_INSTANCES
+        assert res.instances == sum(size for *_, size in seen)
+        assert all(1 <= i < j and b.ia.p[h, i, j] > 0 for h, i, j, _ in seen)
 
 
 class TestFactorKernel:

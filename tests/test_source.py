@@ -4,7 +4,8 @@ Verification must survive ``python -O``, which strips ``assert`` statements,
 so the package raises its documented errors instead of asserting.  The dense
 projector ``SpectralData.idempotent`` is the acceptance battery's reference
 only: the pipeline reads E_j from its d+1 coordinates and forms no n x n
-float after the BFS.
+float after the BFS.  The full-sweep vertex limit has one owner,
+``qpoly.FULL_MODE_LIMIT``.
 """
 
 import ast
@@ -25,6 +26,14 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {', '.join(found)}"
+
+
+def test_full_mode_limit_only_in_qpoly():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "qpoly.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 200]
+    assert not found, f"the literal 200 outside qpoly.py: {', '.join(found)}"
 
 
 def test_dense_projector_only_in_spectral():
