@@ -82,7 +82,8 @@ def cmd_analyze(args) -> int:
     report = run_analysis(g, source, family, tol=tol, mode=args.mode,
                           seed=args.seed, jobs=args.jobs, only=args.only)
     _emit(args, render_pretty(report) if args.pretty else to_json(report))
-    if args.require_drg and not report.get("intersection", {}).get("is_drg", False):
+    # a non-DRG's report carries intersection.is_drg = False whatever --only says
+    if args.require_drg and report.get("intersection", {}).get("is_drg") is False:
         return EXIT_NOT_DRG
     return EXIT_OK
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import MathAssertionError
 # odd_graph is unused here, but the benchmark worker times it under this name
-from .families import disjoint_subset_graph, odd_graph  # noqa: F401
+from .families import odd_graph, subset_graph  # noqa: F401
 from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, are_isomorphic,
                      bipartite_double, induced_subgraph)
 from .qpoly import FULL_MODE_LIMIT
@@ -176,7 +176,7 @@ def _odd_core(r: int) -> Graph:
     # r-subsets of a (2r+1)-set with disjointness adjacency; r = 1 gives the
     # triangle, which the census needs even though it is below the public
     # odd-graph parameter floor
-    return disjoint_subset_graph(2 * r + 1, r, f"odd-core:{r}")
+    return subset_graph(2 * r + 1, r, 0)
 
 
 def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:

@@ -1,9 +1,9 @@
 """Deterministic constructors for the named graph families.
 
 Every constructor orders vertices by the lexicographic order of their
-natural labels (subsets, words) and then works with integer indices only;
-the labels are kept in the graph's side table.  Same parameters always
-produce byte-identical adjacency.
+natural names (subsets, words) and then works with integer indices only;
+a Graph keeps no names.  Same parameters always produce byte-identical
+adjacency.
 """
 
 from __future__ import annotations
@@ -15,18 +15,6 @@ from math import comb
 from .graphs import Graph, build_graph
 
 MAX_VERTICES = 100_000
-
-FAMILY_KINDS = ("odd", "johnson", "hamming", "folded_cube", "cycle", "complete", "petersen")
-
-_ARITY = {
-    "odd": 1,
-    "johnson": 2,
-    "hamming": 2,
-    "folded_cube": 1,
-    "cycle": 1,
-    "complete": 1,
-    "petersen": 0,
-}
 
 
 class FamilySpecError(ValueError):
@@ -43,9 +31,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise FamilySpecError(f"unknown family {self.kind!r} (expected one of {', '.join(FAMILY_KINDS)})")
-        if len(self.params) != _ARITY[self.kind]:
-            raise FamilySpecError(
-                f"{self.kind} takes {_ARITY[self.kind]} parameter(s), got {len(self.params)}")
+        arity = FAMILY_KINDS[self.kind][0]
+        if len(self.params) != arity:
+            raise FamilySpecError(f"{self.kind} takes {arity} parameter(s), got {len(self.params)}")
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
@@ -66,16 +54,7 @@ class FamilySpec:
         return f"{self.kind}:{','.join(str(p) for p in self.params)}"
 
     def build(self) -> Graph:
-        builder = {
-            "odd": lambda: odd_graph(*self.params),
-            "johnson": lambda: johnson_graph(*self.params),
-            "hamming": lambda: hamming_graph(*self.params),
-            "folded_cube": lambda: folded_cube(*self.params),
-            "cycle": lambda: cycle_graph(*self.params),
-            "complete": lambda: complete_graph(*self.params),
-            "petersen": petersen_graph,
-        }[self.kind]
-        return builder()
+        return FAMILY_KINDS[self.kind][1](*self.params)
 
 
 def build_family(text: str) -> Graph:
@@ -87,38 +66,28 @@ def _check_size(n_vertices: int) -> None:
         raise FamilySpecError(f"family would have {n_vertices} vertices, above the {MAX_VERTICES} ceiling")
 
 
-def _subset_labels(subsets) -> tuple[str, ...]:
-    return tuple(",".join(str(x) for x in s) for s in subsets)
-
-
-def disjoint_subset_graph(ground: int, k: int, label: str) -> Graph:
-    """k-subsets of a ground set, adjacent when disjoint (Kneser adjacency)."""
+def subset_graph(ground: int, k: int, meet: int) -> Graph:
+    """k-subsets of a ground set, adjacent when they share exactly ``meet`` elements."""
     _check_size(comb(ground, k))
-    subsets = list(combinations(range(ground), k))
-    masks = [sum(1 << x for x in s) for s in subsets]
-    n = len(subsets)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if masks[i] & masks[j] == 0]
-    return build_graph(n, edges, label=label, vertex_labels=_subset_labels(subsets))
+    masks = [sum(1 << x for x in s) for s in combinations(range(ground), k)]
+    n = len(masks)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if (masks[i] & masks[j]).bit_count() == meet]
+    return build_graph(n, edges)
 
 
 def odd_graph(d: int) -> Graph:
     """d-subsets of a (2d+1)-set, adjacent when disjoint; diameter d, valency d+1."""
     if d < 2:
         raise FamilySpecError(f"odd graph parameter must be at least 2, got {d}")
-    return disjoint_subset_graph(2 * d + 1, d, f"odd:{d}")
+    return subset_graph(2 * d + 1, d, 0)
 
 
 def johnson_graph(n: int, k: int) -> Graph:
     """k-subsets of an n-set, adjacent when the intersection has size k-1."""
     if not n > k >= 1:
         raise FamilySpecError(f"johnson parameters need n > k >= 1, got n={n}, k={k}")
-    _check_size(comb(n, k))
-    subsets = list(combinations(range(n), k))
-    masks = [sum(1 << x for x in s) for s in subsets]
-    nv = len(subsets)
-    edges = [(i, j) for i in range(nv) for j in range(i + 1, nv)
-             if bin(masks[i] & masks[j]).count("1") == k - 1]
-    return build_graph(nv, edges, label=f"johnson:{n},{k}", vertex_labels=_subset_labels(subsets))
+    return subset_graph(n, k, k - 1)
 
 
 def hamming_graph(d: int, q: int) -> Graph:
@@ -134,8 +103,7 @@ def hamming_graph(d: int, q: int) -> Graph:
             for a in range(w[pos] + 1, q):  # only "upward" changes, avoids duplicates
                 other = w[:pos] + (a,) + w[pos + 1:]
                 edges.append((i, index[other]))
-    labels = tuple("".join(str(c) for c in w) for w in words)
-    return build_graph(len(words), edges, label=f"hamming:{d},{q}", vertex_labels=labels)
+    return build_graph(len(words), edges)
 
 
 def folded_cube(n: int) -> Graph:
@@ -160,8 +128,7 @@ def folded_cube(n: int) -> Graph:
             j = index[other]
             if i < j:
                 edges.add((i, j))
-    labels = tuple("".join(str(c) for c in w) for w in words)
-    return build_graph(len(words), sorted(edges), label=f"folded_cube:{n}", vertex_labels=labels)
+    return build_graph(len(words), sorted(edges))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -169,7 +136,7 @@ def cycle_graph(n: int) -> Graph:
         raise FamilySpecError(f"cycle needs at least 3 vertices, got {n}")
     _check_size(n)
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return build_graph(n, edges, label=f"cycle:{n}")
+    return build_graph(n, edges)
 
 
 def complete_graph(n: int) -> Graph:
@@ -177,7 +144,7 @@ def complete_graph(n: int) -> Graph:
         raise FamilySpecError(f"complete graph needs at least 2 vertices, got {n}")
     _check_size(n)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return build_graph(n, edges, label=f"complete:{n}")
+    return build_graph(n, edges)
 
 
 def petersen_graph() -> Graph:
@@ -185,4 +152,16 @@ def petersen_graph() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, 5 + i) for i in range(5)]
-    return build_graph(10, edges, label="petersen")
+    return build_graph(10, edges)
+
+
+# kind -> (parameter count, builder)
+FAMILY_KINDS = {
+    "odd": (1, odd_graph),
+    "johnson": (2, johnson_graph),
+    "hamming": (2, hamming_graph),
+    "folded_cube": (1, folded_cube),
+    "cycle": (1, cycle_graph),
+    "complete": (1, complete_graph),
+    "petersen": (0, petersen_graph),
+}

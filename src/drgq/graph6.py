@@ -9,8 +9,6 @@ header is accepted on input and available on output.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .graphs import Graph, build_graph
 
 HEADER = ">>graph6<<"
@@ -64,7 +62,7 @@ def write_graph6(g: Graph, header: bool = False) -> str:
     return (HEADER if header else "") + _encode_size(n) + "".join(chars)
 
 
-def read_graph6(line: str, label: Optional[str] = None) -> Graph:
+def read_graph6(line: str) -> Graph:
     s = line.strip()
     if s.startswith(HEADER):
         s = s[len(HEADER):]
@@ -87,7 +85,7 @@ def read_graph6(line: str, label: Optional[str] = None) -> Graph:
             if bits[idx]:
                 edges.append((i, j))
             idx += 1
-    return build_graph(n, edges, label=label)
+    return build_graph(n, edges)
 
 
 def load_graph6_file(path: str) -> list[Graph]:
@@ -97,7 +95,7 @@ def load_graph6_file(path: str) -> list[Graph]:
             try:
                 line = raw.decode("ascii")
                 if line.strip():
-                    graphs.append(read_graph6(line, label=f"{path}:{lineno}"))
+                    graphs.append(read_graph6(line))
             except ValueError as exc:  # UnicodeDecodeError included
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not graphs:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,17 +31,13 @@ MAX_DISTANCE = 255  # distances are stored one byte per entry
 
 @dataclass
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph on the vertices 0..n-1.
 
     ``neighbors[v]`` is a sorted tuple of the vertices adjacent to ``v``.
-    ``vertex_labels`` optionally carries human-readable names (subset or
-    word labels for family graphs); it never participates in algorithms.
     """
 
     n: int
     neighbors: tuple[tuple[int, ...], ...]
-    label: Optional[str] = None
-    vertex_labels: Optional[tuple[str, ...]] = None
 
     @property
     def num_edges(self) -> int:
@@ -75,8 +71,7 @@ class Graph:
         return nbr
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]], label: Optional[str] = None,
-                vertex_labels: Optional[Sequence[str]] = None) -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge list, symmetrizing and deduplicating.
 
     Raises ValueError on an out-of-range endpoint or a loop edge.
@@ -91,10 +86,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], label: Optional[str] =
             raise ValueError(f"loop edge ({u},{v}) is not allowed")
         adj[u].add(v)
         adj[v].add(u)
-    labels = tuple(vertex_labels) if vertex_labels is not None else None
-    if labels is not None and len(labels) != n:
-        raise ValueError("vertex_labels length must equal n")
-    return Graph(n, tuple(tuple(sorted(s)) for s in adj), label, labels)
+    return Graph(n, tuple(tuple(sorted(s)) for s in adj))
 
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
@@ -212,10 +204,7 @@ def induced_subgraph(g: Graph, vertex_set: Iterable[int]) -> InducedSubgraph:
     nbrs = []
     for v in verts:
         nbrs.append(tuple(index[w] for w in g.neighbors[v] if w in index))
-    labels = None
-    if g.vertex_labels is not None:
-        labels = tuple(g.vertex_labels[v] for v in verts)
-    return InducedSubgraph(Graph(len(verts), tuple(nbrs), g.label, labels), tuple(verts))
+    return InducedSubgraph(Graph(len(verts), tuple(nbrs)), tuple(verts))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -247,18 +236,15 @@ def bipartite_double(g: Graph) -> Graph:
     for u, w in g.edges():
         edges.append((u, n + w))
         edges.append((w, n + u))
-    labels = None
-    if g.vertex_labels is not None:
-        labels = tuple(f"{s}+" for s in g.vertex_labels) + tuple(f"{s}-" for s in g.vertex_labels)
-    return build_graph(2 * n, edges, label=None if g.label is None else f"double({g.label})",
-                       vertex_labels=labels)
+    return build_graph(2 * n, edges)
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism testing: colour refinement of both graphs in one palette, then
-# backtracking within colour classes.  A colour means the same in g and h,
-# so an isomorphism preserves it.  Intended for small components (census
-# certification); refuses above the cap.
+# backtracking along a breadth-first order of g, each vertex tried only at
+# the same-coloured neighbours of its anchor's image.  A colour means the
+# same in g and h, so an isomorphism preserves it.  Intended for small
+# components (census certification); refuses above the cap.
 # ---------------------------------------------------------------------------
 
 def _joint_colors(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
@@ -300,57 +286,48 @@ def are_isomorphic(g: Graph, h: Graph, cap: int = ISO_VERTEX_CAP
     cg, ch = _joint_colors(g, h)
     if Counter(cg) != Counter(ch):
         return False, None
-    hclasses: dict[int, list[int]] = {}
-    for v, c in enumerate(ch):
-        hclasses.setdefault(c, []).append(v)
-    candidates = [hclasses[c] for c in cg]
-
-    # order: smallest candidate set first, then prefer vertices adjacent to
-    # already-placed ones so adjacency constraints bite early
+    # g's vertices in breadth-first order, one component after another: each
+    # but a component's first has an earlier neighbour, its anchor, and an
+    # isomorphism maps it next to its anchor's image
     order: list[int] = []
-    placed = [False] * g.n
-    for _ in range(g.n):
-        best, best_key = -1, None
-        for v in range(g.n):
-            if placed[v]:
-                continue
-            anchored = any(placed[w] for w in g.neighbors[v])
-            key = (not anchored, len(candidates[v]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed[best] = True
+    anchor = [-1] * g.n
+    placed = bytearray(g.n)
+    for root in range(g.n):
+        if placed[root]:
+            continue
+        placed[root] = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in g.neighbors[u]:
+                if not placed[w]:
+                    placed[w] = 1
+                    anchor[w] = u
+                    queue.append(w)
 
     perm = [-1] * g.n
-    used = [False] * h.n
+    used = bytearray(h.n)
 
     def extend(pos: int) -> bool:
         if pos == g.n:
             return True
         v = order[pos]
-        for t in candidates[v]:
-            if used[t]:
+        mapped = [perm[w] for w in g.neighbors[v] if perm[w] >= 0]
+        pool = range(h.n) if anchor[v] < 0 else h.neighbors[perm[anchor[v]]]
+        for t in pool:
+            if used[t] or ch[t] != cg[v] or not all(h.has_edge(t, x) for x in mapped):
                 continue
-            ok = True
-            for w in g.neighbors[v]:
-                pw = perm[w]
-                if pw >= 0 and not h.has_edge(t, pw):
-                    ok = False
-                    break
-            if ok:
-                # reverse direction: every used h-neighbor of t must be the
-                # image of a g-neighbor of v; counting both sides enforces it
-                deg_mapped = sum(1 for w in g.neighbors[v] if perm[w] >= 0)
-                adj_mapped = sum(1 for x in h.neighbors[t] if used[x])
-                if deg_mapped != adj_mapped:
-                    ok = False
-            if ok:
-                perm[v] = t
-                used[t] = True
-                if extend(pos + 1):
-                    return True
-                perm[v] = -1
-                used[t] = False
+            # reverse direction: every used h-neighbor of t must be the image
+            # of a g-neighbor of v; counting both sides enforces it
+            if sum(used[x] for x in h.neighbors[t]) != len(mapped):
+                continue
+            perm[v] = t
+            used[t] = 1
+            if extend(pos + 1):
+                return True
+            perm[v] = -1
+            used[t] = 0
         return False
 
     if extend(0):

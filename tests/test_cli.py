@@ -12,6 +12,7 @@ from drgq.families import build_family, cycle_graph, petersen_graph
 from drgq.graph6 import save_graph6_file, write_graph6
 from drgq.graphs import distance_data
 from drgq.intersection import check_distance_regular, classify
+from drgq.report import SECTIONS
 from drgq.spectral import compute_spectral_data
 from drgq.tolerances import DEFAULT_TOLERANCES
 
@@ -157,6 +158,17 @@ class TestAnalyze:
     def test_require_drg_exit_code(self, capsys, path_graph_file):
         code, _, _ = run(capsys, "analyze", path_graph_file, "--require-drg")
         assert code == 3
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_require_drg_with_only_accepts_a_drg(self, capsys, section):
+        code, out, _ = run(capsys, "analyze", "petersen", "--only", section, "--require-drg")
+        assert code == 0 and section in json.loads(out)
+
+    def test_require_drg_with_only_refuses_a_non_drg(self, capsys, path_graph_file):
+        code, out, _ = run(capsys, "analyze", path_graph_file, "--only", "spectral",
+                           "--require-drg")
+        assert code == 3
+        assert json.loads(out)["intersection"]["is_drg"] is False
 
     def test_absurd_tolerance_exits_numerical(self, capsys):
         code, _, err = run(capsys, "analyze", "petersen", "--tolerance", "1e-18")

@@ -1,5 +1,7 @@
 """Family constructors: counts, degrees, diameters, determinism, regularity."""
 
+from itertools import combinations, product
+
 import pytest
 
 from drgq.families import (FamilySpec, FamilySpecError, build_family,
@@ -66,13 +68,18 @@ def test_odd_and_johnson_share_vertex_count():
 
 
 def test_odd_outer_sphere_matches_johnson_mid_sphere():
-    # with the shared lexicographic subset labeling, the vertices farthest
+    # with the shared lexicographic subset order, the vertices farthest
     # from a base vertex under disjointness adjacency are exactly those at
     # the lemma's middle distance in the corresponding intersection graph
     for d in (3, 4, 5):
         odd = odd_graph(d)
         johnson = johnson_graph(2 * d + 1, d)
-        assert odd.vertex_labels == johnson.vertex_labels
+        subsets = [set(s) for s in combinations(range(2 * d + 1), d)]
+        assert odd.n == johnson.n == len(subsets)
+        for i, a in enumerate(subsets):  # vertex i of both graphs is subsets[i]
+            assert odd.neighbors[i] == tuple(j for j, b in enumerate(subsets) if not a & b)
+            assert johnson.neighbors[i] == tuple(
+                j for j, b in enumerate(subsets) if len(a & b) == d - 1)
         dd_odd = distance_data(odd)
         dd_johnson = distance_data(johnson)
         m = d // 2 if d % 2 == 0 else (d + 1) // 2
@@ -86,8 +93,13 @@ def test_folded_cube_labels_and_determinism():
     g1 = folded_cube(5)
     g2 = folded_cube(5)
     assert g1.neighbors == g2.neighbors
-    assert g1.vertex_labels is not None and g1.vertex_labels[0] == "00000"
-    assert all(lab[0] == "0" for lab in g1.vertex_labels)
+    # vertex i is the i-th word starting with 0, adjacent to the words at
+    # Hamming distance 1 and to those whose complement is at distance 1
+    words = [w for w in product((0, 1), repeat=5) if w[0] == 0]
+    assert g1.n == len(words)
+    for i, w in enumerate(words):
+        assert g1.neighbors[i] == tuple(
+            j for j, x in enumerate(words) if sum(a != b for a, b in zip(w, x)) in (1, 4))
 
 
 def test_constructors_deterministic():

@@ -3,6 +3,8 @@
 networkx serves as the independent oracle for distances and isomorphism.
 """
 
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -16,6 +18,23 @@ from drgq.families import FamilySpec, complete_graph, cycle_graph, petersen_grap
 from drgq.graphs import (are_isomorphic, bfs_distances, bipartite_double, build_graph,
                          connected_components, distance_data, induced_subgraph)
 from reference import adjacency_matrix, two_coloring
+
+
+def relabelled(g, seed):
+    relabel = list(range(g.n))
+    random.Random(seed).shuffle(relabel)
+    return build_graph(g.n, [(relabel[u], relabel[v]) for u, v in g.edges()])
+
+
+def two_cycles(length):
+    return build_graph(2 * length, [(c + i, c + (i + 1) % length)
+                                    for c in (0, length) for i in range(length)])
+
+
+def assert_witness(g, h, perm):
+    """perm is a bijection carrying g's edges exactly onto h's, edge by edge."""
+    assert sorted(perm) == list(range(h.n))
+    assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == {frozenset(e) for e in h.edges()}
 
 
 def to_nx(g):
@@ -267,6 +286,33 @@ class TestIsomorphism:
         monkeypatch.setattr(graphs, "_verify_mapping", lambda g, h, perm: False)
         with pytest.raises(MathAssertionError, match="not an isomorphism"):
             are_isomorphic(petersen_graph(), petersen_graph())
+
+    @pytest.mark.parametrize("spec", ["hamming:6,2", "folded_cube:7"])
+    def test_relabelled_family_at_cap(self, spec):
+        g = FamilySpec.parse(spec).build()
+        assert g.n == graphs.ISO_VERTEX_CAP
+        h = relabelled(g, 1)
+        ok, perm = are_isomorphic(g, h)
+        assert ok
+        assert_witness(g, h, perm)
+
+    def test_long_cycle_against_two_short_cycles(self):
+        # every vertex of both is 2-regular with 2-regular neighbours, so colour
+        # refinement leaves one class and the search alone must refute
+        c64, c32s = cycle_graph(64), two_cycles(32)
+        cg, ch = graphs._joint_colors(c64, c32s)
+        assert set(cg) == set(ch) == {cg[0]}
+        assert are_isomorphic(c64, c32s) == (False, None)
+        assert are_isomorphic(c32s, c64) == (False, None)
+
+    def test_two_components_against_relabelling(self):
+        # the second component's first vertex has no anchor, so it is tried at
+        # every unused vertex of its colour
+        g = two_cycles(32)
+        h = relabelled(g, 2)
+        ok, perm = are_isomorphic(g, h)
+        assert ok
+        assert_witness(g, h, perm)
 
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=12), st.randoms(use_true_random=False))

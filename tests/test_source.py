@@ -5,7 +5,7 @@ so the package raises its documented errors instead of asserting.  The dense
 projector ``SpectralData.idempotent`` is the acceptance battery's reference
 only: the pipeline reads E_j from its d+1 coordinates and forms no n x n
 float after the BFS.  The full-sweep vertex limit has one owner,
-``qpoly.FULL_MODE_LIMIT``.
+``qpoly.FULL_MODE_LIMIT``.  A module imports only names it uses.
 """
 
 import ast
@@ -14,6 +14,9 @@ from pathlib import Path
 import drgq
 
 SOURCES = sorted(Path(drgq.__file__).parent.glob("*.py"))
+# (module, name) imported without being used: the benchmark worker times the
+# odd-graph build where connectivity looks it up
+UNUSED_IMPORTS = {("connectivity.py", "odd_graph")}
 
 
 def test_sources_found():
@@ -42,3 +45,21 @@ def test_dense_projector_only_in_spectral():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "idempotent"]
     assert not found, f"dense projector referenced outside spectral.py: {', '.join(found)}"
+
+
+def test_every_import_is_used():
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":  # re-exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and (path.name, name) not in UNUSED_IMPORTS:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"imported but unused: {', '.join(found)}"
