@@ -34,6 +34,7 @@ from .families import odd_graph, subset_graph  # noqa: F401
 from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, are_isomorphic,
                      bipartite_double, induced_subgraph)
 from .qpoly import FULL_MODE_LIMIT
+from .tolerances import DEFAULT_TOLERANCES
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +53,8 @@ def union_subconstituent(g: Graph, dd: DistanceData, gamma: int,
     return induced_subgraph(g, members)
 
 
-def dual_sign_change_index(dual: np.ndarray, zero_snap: float = 1e-9) -> int:
+def dual_sign_change_index(dual: np.ndarray,
+                           zero_snap: float = DEFAULT_TOLERANCES.dual_zero_snap) -> int:
     """The unique s with dual[s-1] > 0 and dual[s] <= 0.
 
     Values within ``zero_snap`` of zero are snapped to zero before the sign
@@ -216,7 +218,7 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     real = nbr != own  # the padding repeats the row's own vertex
     lift_nbr = np.vstack([np.where(real, nbr + n, own), np.where(real, nbr, own + n)])
     failures: list[str] = []
-    first_count, first_sizes, iso_done = 0, [], 0
+    iso_done = 0
 
     for start, inside in shell_blocks(dd.dist, d, d):
         lifts = shell_labels(lift_nbr, np.vstack([inside, inside]))
@@ -231,8 +233,6 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
             comp = labels[:, c]
             roots = np.flatnonzero(comp == vertex)  # components by smallest vertex
             sizes = sorted(np.bincount(comp, minlength=n + 1)[roots].tolist())
-            if gamma == 0:
-                first_count, first_sizes = roots.size, sizes
             if roots.size != expected_count:
                 failures.append(
                     f"gamma={gamma}: {roots.size} components, expected {expected_count}")
@@ -262,14 +262,15 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
                         failures.append(
                             f"gamma={gamma} component {ci}: not isomorphic to the bipartite double")
 
-    record = CensusRecord(
-        d=d, expected_count=expected_count, expected_size=expected_size,
-        sphere_size=expected_sphere, count=first_count, component_sizes=first_sizes,
-        component_degree=expected_degree,
-        iso_certified=iso_done > 0,
-        iso_components=iso_done, iso_skipped=not iso_possible,
-        bipartite_halves_ok=True, vertices_checked=n)  # a failure raises below
     if failures:
         raise MathAssertionError(
             "odd-graph census failed:\n  " + "\n  ".join(failures[:20]))
-    return record
+    # every vertex, vertex 0 included, matched the expected figures
+    return CensusRecord(
+        d=d, expected_count=expected_count, expected_size=expected_size,
+        sphere_size=expected_sphere, count=expected_count,
+        component_sizes=[expected_size] * expected_count,
+        component_degree=expected_degree,
+        iso_certified=iso_done > 0,
+        iso_components=iso_done, iso_skipped=not iso_possible,
+        bipartite_halves_ok=True, vertices_checked=n)

@@ -28,6 +28,16 @@ def _encode_size(n: int) -> str:
     raise ValueError("vertex count too large for graph6")
 
 
+def _six_bits(chars: str):
+    """The six-bit value of each graph6 byte, in order; raises ValueError on
+    the first byte outside 63..126."""
+    for c in chars:
+        v = ord(c) - 63
+        if not 0 <= v <= 63:
+            raise ValueError(f"invalid graph6 byte {c!r}")
+        yield v
+
+
 def _decode_size(s: str) -> tuple[int, int]:
     """Return (n, bytes consumed) of the 1-, 4- or 8-byte size prefix."""
     if not s:
@@ -36,10 +46,7 @@ def _decode_size(s: str) -> tuple[int, int]:
     if len(s) < used:
         raise ValueError("truncated graph6 size prefix")
     n = 0
-    for c in s[used // 4:used]:  # the bytes after the one or two "~" markers
-        v = ord(c) - 63
-        if not 0 <= v <= 63:
-            raise ValueError(f"invalid graph6 byte {c!r}")
+    for v in _six_bits(s[used // 4:used]):  # the bytes after the one or two "~" markers
         n = (n << 6) | v
     return n, used
 
@@ -72,10 +79,7 @@ def read_graph6(line: str) -> Graph:
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)} does not match n={n} (expected {need})")
     bits = []
-    for c in body:
-        v = ord(c) - 63
-        if not 0 <= v <= 63:
-            raise ValueError(f"invalid graph6 byte {c!r}")
+    for v in _six_bits(body):
         for s6 in (5, 4, 3, 2, 1, 0):
             bits.append((v >> s6) & 1)
     edges = []

@@ -120,9 +120,6 @@ class DistanceData:
         """Vertex indices at distance exactly i from gamma."""
         return np.nonzero(self.dist[gamma] == i)[0]
 
-    def sphere_sizes(self, gamma: int) -> list[int]:
-        return [int((self.dist[gamma] == i).sum()) for i in range(self.diameter + 1)]
-
 
 def neighborhood_chunks(g: Graph) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """Closed neighborhoods (v, then its neighbors) as CSR row chunks
@@ -272,8 +269,7 @@ def _verify_mapping(g: Graph, h: Graph, perm: list[int]) -> bool:
     return True
 
 
-def are_isomorphic(g: Graph, h: Graph, cap: int = ISO_VERTEX_CAP
-                   ) -> tuple[bool, Optional[list[int]]]:
+def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[list[int]]]:
     """Decide isomorphism; on success also return a witness permutation.
 
     The witness ``perm`` maps g-vertices to h-vertices and is re-verified by
@@ -281,8 +277,8 @@ def are_isomorphic(g: Graph, h: Graph, cap: int = ISO_VERTEX_CAP
     either graph exceeds the vertex cap (backtracking is only meant for
     census-sized components).
     """
-    if g.n > cap or h.n > cap:
-        raise ValueError(f"isomorphism search refused above {cap} vertices")
+    if g.n > ISO_VERTEX_CAP or h.n > ISO_VERTEX_CAP:
+        raise ValueError(f"isomorphism search refused above {ISO_VERTEX_CAP} vertices")
     cg, ch = _joint_colors(g, h)
     if Counter(cg) != Counter(ch):
         return False, None

@@ -11,8 +11,9 @@ another:
   of a candidate's dual vector admits exactly one new idempotent into its span;
 * the Krein oracle computes q^h_ij = n tr((E_i o E_j) E_h) / m_h in closed
   form from the d+1 coordinates, (1/(n m_h)) sum_l k_l Q_il Q_jl Q_hl with
-  Q_jl the l-th dual eigenvalue of E_j and k_l the sphere sizes, and looks
-  for orderings whose q^1 slice is irreducible tridiagonal.
+  Q_jl the l-th dual eigenvalue of E_j and k_l the sphere sizes, and walks,
+  per candidate, to the one ordering that can make its q^1 slice irreducible
+  tridiagonal: each step has exactly one admissible next index, or none.
 
 The sweep checks the identity entrywise over all coordinates, which is
 strictly stronger than inner-product probes.  A batch of instances of one
@@ -290,10 +291,11 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
     mode = resolve_mode(n, mode)
 
     snap = tol.dual_zero_snap * max(1.0, abs(dual[0]))
-    for h in range(1, d + 1):
-        if abs(dual[0] - dual[h]) <= snap:
-            return BalancedSetResult(candidate, False, 0.0, mode, None, 0,
-                                     duplicate_dual_index=h)
+    coincident = [(a, b) for a in range(d + 1) for b in range(a + 1, d + 1)
+                  if abs(dual[a] - dual[b]) <= snap]
+    if coincident and coincident[0][0] == 0:
+        return BalancedSetResult(candidate, False, 0.0, mode, None, 0,
+                                 duplicate_dual_index=coincident[0][1])
 
     used_seed = None if mode == "full" else seed
     blocks = _instance_blocks(dd.dist, ia.p, mode, sample_size, seed)
@@ -301,14 +303,12 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                                        tol.balanced_rel)
 
     verdict = witness is None
-    if verdict:
+    if verdict and coincident:
         # the theory promises mutually distinct dual values on a positive verdict
-        for a in range(d + 1):
-            for b in range(a + 1, d + 1):
-                if abs(dual[a] - dual[b]) <= snap:
-                    raise MathAssertionError(
-                        f"balanced-set sweep passed for idempotent {candidate} but dual "
-                        f"values {a} and {b} coincide ({dual[a]}); this should be impossible")
+        a, b = coincident[0]
+        raise MathAssertionError(
+            f"balanced-set sweep passed for idempotent {candidate} but dual "
+            f"values {a} and {b} coincide ({dual[a]}); this should be impossible")
     return BalancedSetResult(candidate, verdict, worst, mode, used_seed, instances, witness)
 
 
@@ -395,35 +395,24 @@ def krein_parameters(sd: SpectralData, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 def krein_orderings(q: np.ndarray) -> list[list[int]]:
     """Orderings whose first-slice pattern is irreducible tridiagonal.
 
-    Searches, per candidate c, for permutations sigma with sigma(0)=0 and
-    sigma(1)=c such that q^c on sigma is zero beyond the first off-diagonal
-    and positive on it.  Depth-first with the zero constraints pruning as
-    the path grows.
+    Per candidate c, a walk from 0 appends at each step the one unplaced y
+    with q^c[last, y] > eps, and stops when there is none or more than one:
+    an unplaced y left beside ``last`` would sit two or more places after
+    it, where q^c must vanish.  So each candidate has at most one ordering,
+    kept when the walk places every index and its second entry is c.
     """
     d = q.shape[0] - 1
     eps = 1e-7 * max(1.0, float(q.max()))
     out = []
     for c in range(1, d + 1):
-        found: list[list[int]] = []
-
-        def extend(path: list[int]) -> None:
-            if len(path) == d + 1:
-                found.append(list(path))
-                return
-            for y in range(1, d + 1):
-                if y in path:
-                    continue
-                if q[c, path[-1], y] <= eps:
-                    continue
-                if any(q[c, path[a], y] > eps for a in range(len(path) - 1)):
-                    continue
-                path.append(y)
-                extend(path)
-                path.pop()
-
-        if q[c, 0, c] > eps:  # q^c_{0,c} = 1; the guard is just shape sanity
-            extend([0, c])
-        out.extend(found)
+        path = [0]
+        while len(path) <= d:
+            step = [y for y in range(d + 1) if y not in path and q[c, path[-1], y] > eps]
+            if len(step) != 1:
+                break
+            path.append(step[0])
+        if len(path) == d + 1 and path[1] == c:
+            out.append(path)
     return out
 
 

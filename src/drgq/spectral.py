@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError
 from .graphs import DistanceData
 from .intersection import IntersectionData
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, INTEGER_SNAP, MULT_ROUND, Tolerances
 
 
 def standard_sequence(ia: IntersectionData, theta: float) -> np.ndarray:
@@ -43,8 +43,7 @@ def standard_sequence(ia: IntersectionData, theta: float) -> np.ndarray:
     return u
 
 
-def eigenvalues_from_intersection_array(ia: IntersectionData,
-                                        tol: Tolerances = DEFAULT_TOLERANCES
+def eigenvalues_from_intersection_array(ia: IntersectionData
                                         ) -> tuple[np.ndarray, tuple[int, ...]]:
     """d+1 distinct adjacency eigenvalues (descending) and their multiplicities.
 
@@ -58,7 +57,7 @@ def eigenvalues_from_intersection_array(ia: IntersectionData,
     theta = np.linalg.eigvalsh(tri)[::-1].copy()
 
     snapped = np.round(theta) + 0.0  # also normalizes -0.0
-    close = np.abs(theta - snapped) < tol.integer_snap
+    close = np.abs(theta - snapped) < INTEGER_SNAP
     theta[close] = snapped[close]
 
     gaps = -np.diff(theta)
@@ -74,7 +73,7 @@ def eigenvalues_from_intersection_array(ia: IntersectionData,
         u = standard_sequence(ia, float(t))
         m = ia.n / float(ks @ (u * u))
         m_int = round(m)
-        if abs(m - m_int) > tol.mult_round * ia.n or m_int < 1:
+        if abs(m - m_int) > MULT_ROUND * ia.n or m_int < 1:
             raise NumericalError(f"multiplicity {m} for eigenvalue {t} does not round cleanly")
         mult.append(m_int)
     if sum(mult) != ia.n:
@@ -131,7 +130,7 @@ def compute_spectral_data(dd: DistanceData, ia: IntersectionData,
     idempotency residual exceeds the matrix tolerance.
     """
     eps = tol.matrix_eps(ia.k)
-    theta, mult = eigenvalues_from_intersection_array(ia, tol)
+    theta, mult = eigenvalues_from_intersection_array(ia)
     dual = np.array([m * standard_sequence(ia, float(t)) for t, m in zip(theta, mult)])
     sd = SpectralData(theta, mult, dual, ia.sphere_sizes, dd.dist, ia.n, ia.d, 0.0, 0.0)
     squares = np.diagonal(idempotent_products(dual, ia.p, ia.n)).T  # [j, h]: E_j^2

@@ -2,7 +2,9 @@
 
 Matrix residual checks use a base epsilon scaled by the valency; the
 balanced-set sweep uses a looser relative threshold because each instance
-aggregates up to a sphere's worth of summands.
+aggregates up to a sphere's worth of summands.  The eigenvalue snap and
+the multiplicity rounding have one value in use, so they are the constants
+``INTEGER_SNAP`` and ``MULT_ROUND``, not ``Tolerances`` fields.
 """
 
 from __future__ import annotations
@@ -10,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+INTEGER_SNAP = 1e-6  # snap eigenvalues this close to integers
+MULT_ROUND = 1e-6    # allowed |multiplicity - integer|, scaled by n
+
 
 @dataclass(frozen=True)
 class Tolerances:
     matrix_eps_base: float = 1e-8   # matrix residuals, scaled by max(1, k)
-    integer_snap: float = 1e-6      # snap eigenvalues this close to integers
-    mult_round: float = 1e-6        # allowed |multiplicity - integer|, scaled by n
     balanced_rel: float = 1e-6      # relative residual for the balanced-set sweep
     dual_zero_snap: float = 1e-9    # dual values this close to 0 count as 0
 

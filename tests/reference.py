@@ -1,5 +1,6 @@
-"""Reference graph helpers the tests compare the package against: plain
-per-vertex code with no counterpart in the package's pipeline."""
+"""Reference helpers the tests compare the package against: plain
+per-vertex graph code with no counterpart in the package's pipeline, and
+the depth-first Krein ordering search the package's walk replaced."""
 
 from collections import deque
 from typing import Optional
@@ -57,3 +58,35 @@ def tail_connected(g: Graph, dd: DistanceData, gamma: int, s: int) -> bool:
         raise IndexError(f"tail start {s} outside 0..{dd.diameter}")
     sub, _ = union_subconstituent(g, dd, gamma, s, dd.diameter)
     return len(connected_components(sub)) == 1
+
+
+def krein_orderings_dfs(q: np.ndarray) -> list[list[int]]:
+    """Orderings whose first-slice pattern is irreducible tridiagonal, by
+    backtracking: per candidate c, every permutation sigma with sigma(0) = 0
+    and sigma(1) = c such that q^c on sigma is zero beyond the first
+    off-diagonal and positive on it, the zero constraints pruning the path."""
+    d = q.shape[0] - 1
+    eps = 1e-7 * max(1.0, float(q.max()))
+    out = []
+    for c in range(1, d + 1):
+        found: list[list[int]] = []
+
+        def extend(path: list[int]) -> None:
+            if len(path) == d + 1:
+                found.append(list(path))
+                return
+            for y in range(1, d + 1):
+                if y in path:
+                    continue
+                if q[c, path[-1], y] <= eps:
+                    continue
+                if any(q[c, path[a], y] > eps for a in range(len(path) - 1)):
+                    continue
+                path.append(y)
+                extend(path)
+                path.pop()
+
+        if q[c, 0, c] > eps:
+            extend([0, c])
+        out.extend(found)
+    return out

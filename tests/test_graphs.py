@@ -91,7 +91,7 @@ class TestDistanceData:
         dd = distance_data(g)
         assert dd.diameter == 3
         for gamma in range(6):
-            assert dd.sphere_sizes(gamma) == [1, 2, 2, 1]
+            assert np.bincount(dd.dist[gamma]).tolist() == [1, 2, 2, 1]
 
     def test_petersen(self):
         dd = distance_data(petersen_graph())
@@ -181,7 +181,7 @@ class TestDistanceData:
             total += dd.dist == h
         assert (total == 1).all()
         for gamma in range(g.n):
-            assert sum(dd.sphere_sizes(gamma)) == g.n
+            assert np.bincount(dd.dist[gamma]).sum() == g.n
 
 
 class TestInducedSubgraph:

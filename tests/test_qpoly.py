@@ -12,10 +12,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drgq import qpoly
 from drgq.catalogue import CATALOGUE
-from drgq.errors import NumericalError
+from drgq.errors import MathAssertionError, NumericalError
 from drgq.families import build_family
 from drgq.qpoly import (SAMPLE_INSTANCES, _ordering_for_candidate, balanced_set_check,
                         krein_orderings, krein_parameters, qpoly_orderings,
@@ -23,6 +25,7 @@ from drgq.qpoly import (SAMPLE_INSTANCES, _ordering_for_candidate, balanced_set_
 from drgq.report import run_analysis
 from drgq.spectral import SpectralData
 from drgq.tolerances import DEFAULT_TOLERANCES
+from reference import krein_orderings_dfs
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +192,17 @@ class TestBalancedSet:
         assert not res.qpoly
         assert res.duplicate_dual_index == 4
         assert res.instances == 0
+
+    def test_coincident_duals_after_a_pass_raise(self, small, monkeypatch):
+        # the cube's E_1 has dual values (3, 1, -1, -3); make 2 and 3 coincide,
+        # which the guard against index 0 lets through, and let the sweep pass
+        b = small["hamming:3,2"]
+        dual = b.sd.dual.copy()
+        dual[1, 2:] = -1.0
+        monkeypatch.setattr(qpoly, "_sweep", lambda *args: (0.0, 1, None))
+        message = r"idempotent 1 but dual values 2 and 3 coincide \(-1\.0\); this should be"
+        with pytest.raises(MathAssertionError, match=message):
+            balanced_set_check(b.dd, b.ia, replace(b.sd, dual=dual), 1)
 
     def test_antisymmetry_of_both_sides(self, small):
         b = small["odd:3"]
@@ -586,6 +600,40 @@ class TestKreinOracle:
         for b in bundles.values():
             q = krein_parameters(b.sd)
             assert sorted(krein_orderings(q)) == sorted(qpoly_orderings(b.sd))
+
+    def test_walk_matches_search(self, bundles):
+        for b in bundles.values():
+            q = krein_parameters(b.sd)
+            assert krein_orderings(q) == krein_orderings_dfs(q)
+
+    def test_two_candidates_end_the_walk(self):
+        # q^1 links 0-1, then 1 to both 2 and 3: whichever comes next, the
+        # other is two places from 1, so no ordering starts 0, 1
+        q = np.zeros((4, 4, 4))
+        for x, y in ((0, 1), (1, 2), (1, 3), (2, 3)):
+            q[1, x, y] = q[1, y, x] = 1.0
+        assert krein_orderings(q) == krein_orderings_dfs(q) == []
+        q[1, 1, 3] = q[1, 3, 1] = 0.0
+        assert krein_orderings(q) == krein_orderings_dfs(q) == [[0, 1, 2, 3]]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_walk_matches_search_on_patterns(self, data):
+        # per slice c, a path from 0 with positive links, most often 0, c, ...,
+        # then toggled entries, not necessarily symmetric: extra links give
+        # steps with two candidates and links two or more places apart,
+        # removed ones break paths
+        d = data.draw(st.integers(1, 7), label="d")
+        q = np.zeros((d + 1,) * 3)
+        for c in range(1, d + 1):
+            rest = data.draw(st.permutations([y for y in range(1, d + 1) if y != c]))
+            order = [0, c, *rest] if data.draw(st.integers(0, 3)) else [0, *rest, c]
+            for x, y in zip(order, order[1:]):
+                q[c, x, y] = q[c, y, x] = data.draw(st.sampled_from((1e-3, 1.0, 5.0)))
+        toggles = data.draw(st.lists(st.tuples(*[st.integers(0, d)] * 3), max_size=2 * d))
+        for c, x, y in toggles:
+            q[c, x, y] = 1.0 if q[c, x, y] == 0 else 0.0
+        assert krein_orderings(q) == krein_orderings_dfs(q)
 
 
 class TestProofInstance:

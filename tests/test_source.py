@@ -5,13 +5,16 @@ so the package raises its documented errors instead of asserting.  The dense
 projector ``SpectralData.idempotent`` is the acceptance battery's reference
 only: the pipeline reads E_j from its d+1 coordinates and forms no n x n
 float after the BFS.  The full-sweep vertex limit has one owner,
-``qpoly.FULL_MODE_LIMIT``.  A module imports only names it uses.
+``qpoly.FULL_MODE_LIMIT``.  A module imports only names it uses, and every
+``Tolerances`` field is read by some check outside ``tolerances.py``.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import drgq
+from drgq.tolerances import Tolerances
 
 SOURCES = sorted(Path(drgq.__file__).parent.glob("*.py"))
 # (module, name) imported without being used: the benchmark worker times the
@@ -63,3 +66,12 @@ def test_every_import_is_used():
                     if name not in used and (path.name, name) not in UNUSED_IMPORTS:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"imported but unused: {', '.join(found)}"
+
+
+def test_every_tolerance_field_is_read():
+    read = {node.attr
+            for path in SOURCES if path.name != "tolerances.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f.name for f in fields(Tolerances) if f.name not in read]
+    assert not unread, f"Tolerances fields no package module reads: {', '.join(unread)}"

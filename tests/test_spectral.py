@@ -171,8 +171,8 @@ class TestIdempotents:
         # last, the eigenvalue equation, sees the shift
         _, dd, ia = pipeline("petersen")
 
-        def shifted(ia, tol=DEFAULT_TOLERANCES):
-            theta, mult = eigenvalues_from_intersection_array(ia, tol)
+        def shifted(ia):
+            theta, mult = eigenvalues_from_intersection_array(ia)
             theta[1] += 1e-6
             return theta, mult
         monkeypatch.setattr(spectral, "eigenvalues_from_intersection_array", shifted)
