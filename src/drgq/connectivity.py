@@ -7,15 +7,19 @@ is connected, and the d-th subconstituent of the odd graphs splits into
 the predicted number of bipartite-double components.  The checks cover
 every base vertex; vertex transitivity is never assumed.
 
-One kernel, ``shell_labels``, labels the components of a shell about
-every base vertex of a block at once.  It holds a label per (vertex, base
-vertex) pair, masked by the shell, and alternates neighbor-minimum steps
-with pointer jumping (Shiloach-Vishkin style) until no label changes; each
-shell component then carries its smallest vertex.  Columns are independent,
-so every claim walks blocks of base vertices (``shell_blocks``) and no label
-array grows with n squared.  ``shell_connected`` counts the roots for every
-connectivity sweep, and the odd-graph census reads its component counts,
-sizes and bipartitions from one labelling of the bipartite double of g.
+Every connectivity sweep reads ``shell_connected``, a flood over all base
+vertices at once: bit gamma of row v says v lies in gamma's shell, each
+shell is seeded at its smallest vertex, and OR rounds over closed
+neighborhoods (``graphs.neighborhood_or``, the all-source BFS's round),
+masked by the shells, run until no bit changes, so 64 base vertices share
+each word.  The odd-graph census needs component labels, counts, sizes and
+bipartitions, so it alone runs ``shell_labels``: for every base vertex of a
+block (``shell_blocks``) it alternates neighbor-minimum steps with pointer
+jumping (Shiloach-Vishkin style) until no label changes, so each shell
+component carries its smallest vertex, and it reads everything from one
+labelling of the bipartite double of g.  The flood holds four bit-packed
+arrays of n^2 / 8 bytes each; the census's labels stay a few hundred KiB
+per block whatever n is.
 ``subconstituent`` and ``union_subconstituent`` build the per-vertex
 subgraphs the acceptance battery compares the sweeps against.
 """
@@ -32,7 +36,8 @@ from .errors import MathAssertionError
 # odd_graph is unused here, but the benchmark worker times it under this name
 from .families import odd_graph, subset_graph  # noqa: F401
 from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, are_isomorphic,
-                     bipartite_double, induced_subgraph)
+                     bipartite_double, induced_subgraph, neighborhood_chunks,
+                     neighborhood_or)
 from .qpoly import FULL_MODE_LIMIT
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -77,9 +82,10 @@ def dual_sign_change_index(dual: np.ndarray,
     return crossings[0]
 
 
-# label entries per block of base-vertex columns: a block's labels, and the
-# census's bipartite lift of them, stay a few hundred KiB whatever n is
-LABEL_BLOCK_ENTRIES = 1 << 15
+# distance entries read per block: the census labels a block of base-vertex
+# columns, so its labels and their bipartite lift stay a few hundred KiB
+# whatever n is, and the flood packs its shell masks a block of rows at a time
+BLOCK_ENTRIES = 1 << 15
 
 
 def shell_labels(nbr: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -110,10 +116,10 @@ def shell_labels(nbr: np.ndarray, inside: np.ndarray) -> np.ndarray:
 
 
 def shell_blocks(dist: np.ndarray, lo: int, hi: int):
-    """(start, inside) per block of LABEL_BLOCK_ENTRIES base-vertex columns:
+    """(start, inside) per block of BLOCK_ENTRIES base-vertex columns:
     inside[v, c] says v lies in spheres lo..hi about start + c (dist symmetric)."""
     n = dist.shape[0]
-    width = max(1, LABEL_BLOCK_ENTRIES // n)
+    width = max(1, BLOCK_ENTRIES // n)
     for start in range(0, n, width):
         block = dist[:, start:start + width]
         yield start, (block >= lo) & (block <= hi)
@@ -123,19 +129,42 @@ def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
     """Per base vertex gamma, whether the spheres lo..hi about gamma induce a
     connected subgraph (an empty shell counts as disconnected).
 
-    Exhaustive over base vertices, one ``shell_blocks`` block at a time: a
-    shell is connected when exactly one vertex is its own ``shell_labels``
-    label.  On the regular graphs the sweeps run on a round costs n * 2m.
+    Exhaustive over base vertices, all at once.  Bit gamma of row v of an
+    n x ceil(n/64) word array says v lies in gamma's shell; since ``dist`` is
+    symmetric, row v is packed from dist[v], BLOCK_ENTRIES entries at a time.
+    Each shell is seeded at its smallest vertex and flooded by OR rounds over
+    closed neighborhoods (``neighborhood_or``), ANDed with the shells, until
+    no bit changes; a shell is connected when the flood reached all of it.  A
+    round costs (2m + n) n / 64 words, as a level of the all-source BFS does.
     """
     if not 0 <= lo <= hi <= dd.diameter:
         raise IndexError(f"shell {lo}..{hi} outside 0..{dd.diameter}")
-    nbr, vertex = g.neighbor_array(), np.arange(g.n)[:, None]
-    flags = np.empty(g.n, dtype=bool)
-    for start, inside in shell_blocks(dd.dist, lo, hi):
-        # one root, the component's smallest vertex, per shell component
-        roots = shell_labels(nbr, inside) == vertex
-        flags[start:start + inside.shape[1]] = roots.sum(axis=0) == 1
-    return flags
+    n = g.n
+    inside = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    seeds, nonempty = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+    rows = max(1, BLOCK_ENTRIES // n)
+    for a in range(0, n, rows):
+        block = dd.dist[a:a + rows]
+        shell = (block >= lo) & (block <= hi)  # row gamma is gamma's shell
+        inside.view(np.uint8)[a:a + rows, :-(-n // 8)] = np.packbits(shell, axis=1)
+        seeds[a:a + rows] = shell.argmax(axis=1)
+        nonempty[a:a + rows] = shell.any(axis=1)
+    reached = np.zeros_like(inside)
+    bases = np.flatnonzero(nonempty)
+    # bases sharing a seed share its bytes, so the bits go in unbuffered
+    np.bitwise_or.at(reached.view(np.uint8), (seeds[bases], bases // 8),
+                     (0x80 >> (bases % 8)).astype(np.uint8))  # np.packbits bit order
+    chunks = neighborhood_chunks(g)
+    nxt, gathered = np.empty_like(inside), np.empty_like(inside)
+    while True:
+        neighborhood_or(chunks, reached, nxt, gathered)
+        nxt &= inside
+        if np.array_equal(nxt, reached):
+            break
+        reached, nxt = nxt, reached
+    reached ^= inside  # the shell bits the flood missed
+    missed = np.bitwise_or.reduce(reached, axis=0)  # one bit per base
+    return nonempty & ~np.unpackbits(missed.view(np.uint8), count=n).view(bool)
 
 
 def sweep_last_two(g: Graph, dd: DistanceData) -> tuple[bool, list[bool]]:

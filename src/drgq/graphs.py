@@ -3,14 +3,16 @@
 Graphs are simple and undirected, with vertices 0..n-1 and adjacency kept
 as sorted neighbor tuples (the padded neighbor array is derived on demand).
 All-pairs distances come from one level-synchronous BFS run from every
-source at once: the frontier is a bit-packed n x n array, and each level
-ORs frontier rows over the neighbor lists, so a level costs (2m + n) n / 64
-word operations whatever the degrees.  Distances are
-stored one byte per entry, which keeps the largest catalogue members cheap
-to hold in memory, and they are the only n x n form of the distance
-classes: a check that needs the pairs at distance h takes ``dist == h``.  A
-graph of diameter above 255 is refused rather than wrapped, and the memory
-model is consulted before anything of size n x n is allocated.
+source at once: the frontier is a bit-packed n x n array, and each level is
+one OR round (``neighborhood_or``), which ORs rows over every closed
+neighborhood of the CSR chunks, so a level costs (2m + n) n / 64 word
+operations whatever the degrees.  The connectivity sweeps' shell flood runs
+the same round.  Distances are stored one byte per entry, which keeps the
+largest catalogue members cheap to hold in memory, and they are the only
+n x n form of the distance classes: a check that needs the pairs at
+distance h takes ``dist == h``.  A graph of diameter above 255 is refused
+rather than wrapped, and the memory model is consulted before anything of
+size n x n is allocated.
 """
 
 from __future__ import annotations
@@ -138,6 +140,17 @@ def neighborhood_chunks(g: Graph) -> list[tuple[int, int, np.ndarray, np.ndarray
     return chunks
 
 
+def neighborhood_or(chunks: list[tuple[int, int, np.ndarray, np.ndarray]], rows: np.ndarray,
+                    out: np.ndarray, gathered: np.ndarray) -> None:
+    """One OR round over closed neighborhoods: out[v] becomes the bitwise OR
+    of rows[w] over v and its neighbors.  ``chunks`` come from
+    ``neighborhood_chunks``, and ``gathered`` is scratch with at least n rows
+    shaped like ``rows``, so a round costs (2m + n) words per column."""
+    for a, b, starts, members in chunks:
+        block = np.take(rows, members, axis=0, out=gathered[:len(members)])
+        np.bitwise_or.reduceat(block, starts, axis=0, out=out[a:b])
+
+
 def distance_data(g: Graph) -> DistanceData:
     """All-pairs distances by one BFS from every source at once.
 
@@ -167,9 +180,7 @@ def distance_data(g: Graph) -> DistanceData:
     dist = np.zeros((n, n), dtype=np.uint8)
     level = 0
     while True:
-        for a, b, starts, nbrs in chunks:
-            block = np.take(frontier, nbrs, axis=0, out=gathered[:len(nbrs)])
-            np.bitwise_or.reduceat(block, starts, axis=0, out=nxt[a:b])
+        neighborhood_or(chunks, frontier, nxt, gathered)
         nxt &= unvisited
         if not nxt.any():
             break

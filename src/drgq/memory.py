@@ -61,8 +61,10 @@ def distance_bytes(n: int, entries: int) -> int:
 def analysis_bytes(n: int) -> int:
     """Peak bytes of the analysis after the BFS: the one-byte distances, the
     balanced-set factor and the batch buffers.  The regularity check's narrow
-    counts and the shell sweeps' column blocks fit in less, distance classes
-    and factors are formed one at a time, and no dense projector is formed."""
+    counts, the connectivity flood's four bit-packed n x n arrays (n^2 / 2
+    bytes in all) and the census's column blocks fit inside the factor's
+    8 n^2 term, distance classes and factors are formed one at a time, and
+    no dense projector is formed."""
     return n * n * (1 + 8 * FLOAT_TEMPORARIES) + BATCH_BUFFER_BYTES
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,20 +95,74 @@ def _per_vertex_shell_flags(g, dd, lo, hi):
     return flags
 
 
+def _seeded_tree_plus_chords(n, seed):
+    rng = np.random.default_rng(seed)
+    tree = [(int(rng.integers(v)), v) for v in range(1, n)]
+    chords = [(int(u), int(w)) for u, w in rng.integers(n, size=(n // 8, 2)) if u != w]
+    return build_graph(n, tree + chords)
+
+
+def _spider(legs):
+    # a hub, 0, and legs hub - 2k+1 - 2k+2: the shell 2..4 about a leaf holds
+    # the hub and every other leg, so it is connected; about a middle vertex
+    # or the hub it splits, and about the hub the shell 3..4 is empty
+    return build_graph(2 * legs + 1, [e for k in range(legs)
+                                      for e in ((0, 2 * k + 1), (2 * k + 1, 2 * k + 2))])
+
+
+# the per-base flags fill 64-bit words: one short of a word, one word, one
+# bit over, and two words and a bit
+WORD_EDGE_GRAPHS = {f"tree_chords_{n}": _seeded_tree_plus_chords(n, n) for n in (63, 64, 65, 129)}
+WORD_EDGE_GRAPHS["spider_129"] = _spider(64)
+
+
 class TestShellKernel:
+    @staticmethod
+    def _assert_matches_reference(g, dd, shells):
+        expected = {(lo, hi): _per_vertex_shell_flags(g, dd, lo, hi) for lo, hi in shells}
+        # blocks of 1 and of 7 rows or base vertices (the last one partial), then one block
+        for entries in (g.n, 7 * g.n, connectivity.BLOCK_ENTRIES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(connectivity, "BLOCK_ENTRIES", entries)
+                for (lo, hi), flags in expected.items():
+                    assert shell_connected(g, dd, lo, hi).tolist() == flags, (entries, lo, hi)
+
+    @staticmethod
+    def _all_shells(dd):
+        return [(lo, hi) for lo in range(dd.diameter + 1) for hi in range(lo, dd.diameter + 1)]
+
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(trees_plus_edges())
     @example(build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]))
     def test_matches_per_vertex_reference(self, g):
         dd = distance_data(g)
-        # blocks of 1 and of 7 base vertices (the last one partial), then one block
-        for entries in (g.n, 7 * g.n, connectivity.LABEL_BLOCK_ENTRIES):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(connectivity, "LABEL_BLOCK_ENTRIES", entries)
-                for lo in range(dd.diameter + 1):
-                    for hi in range(lo, dd.diameter + 1):
-                        assert (shell_connected(g, dd, lo, hi).tolist()
-                                == _per_vertex_shell_flags(g, dd, lo, hi)), (entries, lo, hi)
+        self._assert_matches_reference(g, dd, self._all_shells(dd))
+
+    @pytest.mark.parametrize("name", WORD_EDGE_GRAPHS)
+    def test_word_boundaries_match_per_vertex_reference(self, name):
+        g = WORD_EDGE_GRAPHS[name]
+        dd = distance_data(g)
+        shells = self._all_shells(dd)
+        self._assert_matches_reference(g, dd, shells)
+        # some shell is empty at some base, and some shell is connected at
+        # some bases and split at others
+        assert any(not ((dd.dist[gamma] >= lo) & (dd.dist[gamma] <= hi)).any()
+                   for lo, hi in shells for gamma in range(g.n))
+        assert any(0 < shell_connected(g, dd, lo, hi).sum() < g.n for lo, hi in shells)
+
+    @pytest.mark.parametrize("spec", ("johnson:12,6", "odd:5"))
+    def test_flood_peak_below_distances(self, spec):
+        # the flood's four bit-packed arrays are n^2 / 2 bytes; the one-byte
+        # distances predate tracing, and 1 MiB covers the CSR chunks and masks
+        g = build_family(spec)
+        dd = distance_data(g)
+        tracemalloc.start()
+        try:
+            shell_connected(g, dd, dd.diameter - 1, dd.diameter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= g.n ** 2 + (1 << 20)
 
     def test_shell_outside_diameter_rejected(self, odd3):
         with pytest.raises(IndexError):
@@ -270,9 +325,9 @@ class TestCensus:
     @pytest.mark.parametrize("block", (1, 7))
     def test_blocks_match_one_block(self, bundles, monkeypatch, spec, block):
         b = bundles[spec]
-        monkeypatch.setattr(connectivity, "LABEL_BLOCK_ENTRIES", b.graph.n ** 2)
+        monkeypatch.setattr(connectivity, "BLOCK_ENTRIES", b.graph.n ** 2)
         whole = odd_component_census(b.graph, b.dd)
-        monkeypatch.setattr(connectivity, "LABEL_BLOCK_ENTRIES", block * b.graph.n)
+        monkeypatch.setattr(connectivity, "BLOCK_ENTRIES", block * b.graph.n)
         assert odd_component_census(b.graph, b.dd) == whole
 
     @staticmethod

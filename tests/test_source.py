@@ -5,7 +5,8 @@ so the package raises its documented errors instead of asserting.  The dense
 projector ``SpectralData.idempotent`` is the acceptance battery's reference
 only: the pipeline reads E_j from its d+1 coordinates and forms no n x n
 float after the BFS.  The full-sweep vertex limit has one owner,
-``qpoly.FULL_MODE_LIMIT``.  A module imports only names it uses, and every
+``qpoly.FULL_MODE_LIMIT``, and only the odd-graph census runs the
+connectivity label kernel.  A module imports only names it uses, and every
 ``Tolerances`` field is read by some check outside ``tolerances.py``.
 """
 
@@ -40,6 +41,20 @@ def test_full_mode_limit_only_in_qpoly():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 200]
     assert not found, f"the literal 200 outside qpoly.py: {', '.join(found)}"
+
+
+def test_label_kernel_only_in_census():
+    # the connectivity sweeps run the bit-packed flood; only the census
+    # needs component labels
+    kernel = {"shell_labels", "shell_blocks"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+             if getattr(top, "name", None) != "odd_component_census"
+             for node in ast.walk(top)
+             if (isinstance(node, ast.Name) and node.id in kernel)
+             or (isinstance(node, ast.Attribute) and node.attr in kernel)]
+    assert not found, f"label kernel used outside odd_component_census: {', '.join(found)}"
 
 
 def test_dense_projector_only_in_spectral():
