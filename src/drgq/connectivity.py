@@ -17,9 +17,9 @@ bipartitions, so it alone runs ``shell_labels``: for every base vertex of a
 block (``shell_blocks``) it alternates neighbor-minimum steps with pointer
 jumping (Shiloach-Vishkin style) until no label changes, so each shell
 component carries its smallest vertex, and it reads everything from one
-labelling of the bipartite double of g.  The flood holds four bit-packed
-arrays of n^2 / 8 bytes each; the census's labels stay a few hundred KiB
-per block whatever n is.
+labelling of ``graphs.bipartite_double(g)``.  The flood holds four
+bit-packed arrays of n^2 / 8 bytes each; the census's labels stay a few
+hundred KiB per block whatever n is.
 ``subconstituent`` and ``union_subconstituent`` build the per-vertex
 subgraphs the acceptance battery compares the sweeps against.
 """
@@ -217,15 +217,16 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     Checks the component count binom(2m, m)/2, the common component size
     2 binom(2r+1, r), the within-sphere valency and that every component is
     bipartite with equal halves, from one ``shell_labels`` run per
-    ``shell_blocks`` block on the bipartite double of g: a component C lifts
-    to C+ and C-, or to X+ Y- and Y+ X- when bipartite with halves X and Y,
-    so the smaller of v's two lifted labels is min C (every + index is below
-    every - index); C is bipartite iff its root's two copies lie in
-    different lifted components, and its halves are equal iff the root's
-    lift holds as many layer-0 as layer-1 vertices.  When components are at most
-    ``ISO_VERTEX_CAP`` vertices, each is certified isomorphic to the
-    bipartite double of the order-r odd-graph core: at every base vertex
-    when n <= FULL_MODE_LIMIT, otherwise at vertex 0.  The record reports vertex 0.
+    ``shell_blocks`` block on ``bipartite_double(g)``, the block's mask on
+    both copies: a component C lifts to C+ and C-, or to X+ Y- and Y+ X-
+    when bipartite with halves X and Y, so the smaller of v's two lifted
+    labels is min C (every + index is below every - index); C is bipartite
+    iff its root's two copies lie in different lifted components, and its
+    halves are equal iff the root's lift holds as many layer-0 as layer-1
+    vertices.  When components are at most ``ISO_VERTEX_CAP`` vertices, each
+    is certified isomorphic to the bipartite double of the order-r odd-graph
+    core: at every base vertex when n <= FULL_MODE_LIMIT, otherwise at
+    vertex 0.  The record reports vertex 0.
 
     Raises MathAssertionError naming the first failures.
     """
@@ -243,9 +244,8 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     reference = bipartite_double(_odd_core(r)) if iso_possible else None
 
     vertex, nbr = np.arange(n), g.neighbor_array()
-    own = vertex[:, None]  # bipartite_double(g).neighbor_array(): v ~ n + w, n + v ~ w
-    real = nbr != own  # the padding repeats the row's own vertex
-    lift_nbr = np.vstack([np.where(real, nbr + n, own), np.where(real, nbr, own + n)])
+    real = nbr != vertex[:, None]  # the padding repeats the row's own vertex
+    lift_nbr = bipartite_double(g).neighbor_array()
     failures: list[str] = []
     iso_done = 0
 

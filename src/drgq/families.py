@@ -142,9 +142,7 @@ def cycle_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 2:
         raise FamilySpecError(f"complete graph needs at least 2 vertices, got {n}")
-    _check_size(n)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return build_graph(n, edges)
+    return subset_graph(n, 1, 0)
 
 
 def petersen_graph() -> Graph:

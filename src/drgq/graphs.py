@@ -45,9 +45,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(nb) for nb in self.neighbors) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
     def degrees(self) -> list[int]:
         return [len(nb) for nb in self.neighbors]
 
@@ -240,11 +237,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 def bipartite_double(g: Graph) -> Graph:
     """Two copies v+ (=v) and v- (=n+v); v+ is adjacent to w- iff v ~ w."""
     n = g.n
-    edges = []
-    for u, w in g.edges():
-        edges.append((u, n + w))
-        edges.append((w, n + u))
-    return build_graph(2 * n, edges)
+    return Graph(2 * n, tuple(tuple(n + w for w in nb) for nb in g.neighbors) + g.neighbors)
 
 
 # ---------------------------------------------------------------------------

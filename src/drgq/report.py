@@ -12,8 +12,6 @@ import time
 from math import ceil
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
 from .catalogue import CLAIMS, Bundle, make_bundle
 from .families import FamilySpec
@@ -23,12 +21,6 @@ from .qpoly import resolve_mode
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 SECTIONS = ("intersection", "spectral", "qpoly", "connectivity")
-
-
-def _listify(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    return x
 
 
 def run_analysis(g: Graph, source: str, family: Optional[FamilySpec] = None,
@@ -102,9 +94,9 @@ def _sections(b: Bundle, timings: dict):
         },
     }
     yield "spectral", {
-        "theta": _listify(sd.theta),
+        "theta": sd.theta.tolist(),
         "mult": list(sd.mult),
-        "dual": _listify(sd.dual),
+        "dual": sd.dual.tolist(),
         "eq2_max_residual": CLAIMS["inner_product"](b).worst,
     }
 

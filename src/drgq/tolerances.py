@@ -2,15 +2,17 @@
 
 Matrix residual checks use a base epsilon scaled by the valency; the
 balanced-set sweep uses a looser relative threshold because each instance
-aggregates up to a sphere's worth of summands.  The eigenvalue snap and
-the multiplicity rounding have one value in use, so they are the constants
-``INTEGER_SNAP`` and ``MULT_ROUND``, not ``Tolerances`` fields.
+aggregates up to a sphere's worth of summands.  The eigenvalue snap, the
+multiplicity rounding and the dual zero snap have one value in use, so they
+are constants, not fields: ``INTEGER_SNAP``, ``MULT_ROUND`` and
+``Tolerances.dual_zero_snap``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 INTEGER_SNAP = 1e-6  # snap eigenvalues this close to integers
 MULT_ROUND = 1e-6    # allowed |multiplicity - integer|, scaled by n
@@ -20,7 +22,7 @@ MULT_ROUND = 1e-6    # allowed |multiplicity - integer|, scaled by n
 class Tolerances:
     matrix_eps_base: float = 1e-8   # matrix residuals, scaled by max(1, k)
     balanced_rel: float = 1e-6      # relative residual for the balanced-set sweep
-    dual_zero_snap: float = 1e-9    # dual values this close to 0 count as 0
+    dual_zero_snap: ClassVar[float] = 1e-9  # dual values this close to 0 count as 0
 
     def matrix_eps(self, k: float) -> float:
         return self.matrix_eps_base * max(1.0, k)

@@ -8,7 +8,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drgq import graphs
@@ -42,6 +42,26 @@ def to_nx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return h
+
+
+def tree_plus_chords(n, seed, isolated):
+    """A seeded random tree plus chords on the vertices outside ``isolated``,
+    which keep no edge."""
+    rng = np.random.default_rng(seed)
+    live = [v for v in range(n) if v not in isolated]
+    tree = [(live[int(rng.integers(i))], live[i]) for i in range(1, len(live))]
+    chords = [(live[a], live[b]) for a, b in rng.integers(len(live), size=(len(live) // 4, 2))
+              if a != b]
+    return build_graph(n, tree + chords)
+
+
+def with_examples(graphs):
+    """Run a hypothesis test on each of ``graphs`` as well as on its draws."""
+    def decorate(test):
+        for g in graphs:
+            test = example(g=g)(test)
+        return test
+    return decorate
 
 
 @st.composite
@@ -252,8 +272,15 @@ class TestBipartiteDouble:
 
     @settings(max_examples=40, deadline=None)
     @given(arbitrary_graphs())
+    @with_examples([FamilySpec.parse(spec).build() for spec in CATALOGUE]
+                   + [tree_plus_chords(n, n, isolated) for n, isolated in
+                      ((2, (1,)), (20, (0,)), (33, (5, 32)), (65, (0, 17, 18, 64)))])
     def test_always_bipartite_with_doubled_counts(self, g):
+        # the edge rule: v ~ n + w and n + v ~ w for every edge v ~ w
+        n = g.n
+        rule = [e for v, w in g.edges() for e in ((v, n + w), (n + v, w))]
         dbl = bipartite_double(g)
+        assert dbl == build_graph(2 * n, rule)
         assert dbl.n == 2 * g.n
         assert dbl.num_edges == 2 * g.num_edges
         assert two_coloring(dbl) is not None

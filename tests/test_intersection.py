@@ -199,7 +199,7 @@ class TestIntersectionData:
         for spec in ("petersen", "odd:3", "hamming:3,2"):
             g = build_family(spec)
             _, ia = analyze(g)
-            assert ia.intersection_number(0, 1, 1) == ia.k == g.degree(0)
+            assert ia.intersection_number(0, 1, 1) == ia.k == len(g.neighbors[0])
 
     def test_triangle_violations_vanish(self):
         _, ia = analyze(odd_graph(3))
