@@ -9,17 +9,18 @@ every base vertex; vertex transitivity is never assumed.
 
 Every connectivity sweep reads ``shell_connected``, a flood over all base
 vertices at once: bit gamma of row v says v lies in gamma's shell, each
-shell is seeded at its smallest vertex, and OR rounds over closed
-neighborhoods (``graphs.neighborhood_or``, the all-source BFS's round),
-masked by the shells, run until no bit changes, so 64 base vertices share
-each word.  The odd-graph census needs component labels, counts, sizes and
+shell is seeded at its smallest vertex, and ``graphs.flood``, the
+all-source BFS's OR rounds over closed neighborhoods, masked by the
+shells, runs until no bit changes, so 64 base vertices share each word.
+The odd-graph census needs component labels, counts, sizes and
 bipartitions, so it alone runs ``shell_labels``: for every base vertex of a
 block (``shell_blocks``) it alternates neighbor-minimum steps with pointer
 jumping (Shiloach-Vishkin style) until no label changes, so each shell
 component carries its smallest vertex, and it reads everything from one
-labelling of ``graphs.bipartite_double(g)``.  The flood holds four
-bit-packed arrays of n^2 / 8 bytes each; the census's labels stay a few
-hundred KiB per block whatever n is.
+labelling of ``graphs.bipartite_double(g)``, certifying isomorphism at
+every base vertex up to ``ISO_SEARCH_VERTICES`` sphere vertices in all.  The
+flood holds four bit-packed arrays of n^2 / 8 bytes each; the census's
+labels stay a few hundred KiB per block whatever n is.
 ``subconstituent`` and ``union_subconstituent`` build the per-vertex
 subgraphs the acceptance battery compares the sweeps against.
 """
@@ -36,9 +37,7 @@ from .errors import MathAssertionError
 # odd_graph is unused here, but the benchmark worker times it under this name
 from .families import odd_graph, subset_graph  # noqa: F401
 from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, are_isomorphic,
-                     bipartite_double, induced_subgraph, neighborhood_chunks,
-                     neighborhood_or)
-from .qpoly import FULL_MODE_LIMIT
+                     bipartite_double, flood, induced_subgraph)
 from .tolerances import DEFAULT_TOLERANCES
 
 log = logging.getLogger(__name__)
@@ -82,6 +81,8 @@ def dual_sign_change_index(dual: np.ndarray,
     return crossings[0]
 
 
+# n times the sphere size up to which the census certifies every base vertex
+ISO_SEARCH_VERTICES = 1 << 14
 # distance entries read per block: the census labels a block of base-vertex
 # columns, so its labels and their bipartite lift stay a few hundred KiB
 # whatever n is, and the flood packs its shell masks a block of rows at a time
@@ -132,10 +133,10 @@ def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
     Exhaustive over base vertices, all at once.  Bit gamma of row v of an
     n x ceil(n/64) word array says v lies in gamma's shell; since ``dist`` is
     symmetric, row v is packed from dist[v], BLOCK_ENTRIES entries at a time.
-    Each shell is seeded at its smallest vertex and flooded by OR rounds over
-    closed neighborhoods (``neighborhood_or``), ANDed with the shells, until
-    no bit changes; a shell is connected when the flood reached all of it.  A
-    round costs (2m + n) n / 64 words, as a level of the all-source BFS does.
+    Each shell is seeded at its smallest vertex and flooded (``flood``, ANDed
+    with the shells) until no bit changes; a shell is connected when the
+    flood reached all of it.  A round costs (2m + n) n / 64 words, as a level
+    of the all-source BFS does.
     """
     if not 0 <= lo <= hi <= dd.diameter:
         raise IndexError(f"shell {lo}..{hi} outside 0..{dd.diameter}")
@@ -154,14 +155,8 @@ def shell_connected(g: Graph, dd: DistanceData, lo: int, hi: int) -> np.ndarray:
     # bases sharing a seed share its bytes, so the bits go in unbuffered
     np.bitwise_or.at(reached.view(np.uint8), (seeds[bases], bases // 8),
                      (0x80 >> (bases % 8)).astype(np.uint8))  # np.packbits bit order
-    chunks = neighborhood_chunks(g)
-    nxt, gathered = np.empty_like(inside), np.empty_like(inside)
-    while True:
-        neighborhood_or(chunks, reached, nxt, gathered)
-        nxt &= inside
-        if np.array_equal(nxt, reached):
-            break
-        reached, nxt = nxt, reached
+    for _ in flood(g, reached, inside):
+        pass
     reached ^= inside  # the shell bits the flood missed
     missed = np.bitwise_or.reduce(reached, axis=0)  # one bit per base
     return nonempty & ~np.unpackbits(missed.view(np.uint8), count=n).view(bool)
@@ -225,8 +220,8 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     halves are equal iff the root's lift holds as many layer-0 as layer-1
     vertices.  When components are at most ``ISO_VERTEX_CAP`` vertices, each
     is certified isomorphic to the bipartite double of the order-r odd-graph
-    core: at every base vertex when n <= FULL_MODE_LIMIT, otherwise at
-    vertex 0.  The record reports vertex 0.
+    core: at every base vertex when n times the sphere size is at most
+    ``ISO_SEARCH_VERTICES``, otherwise at vertex 0.  The record reports vertex 0.
 
     Raises MathAssertionError naming the first failures.
     """
@@ -240,7 +235,7 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     expected_sphere = comb(d, m) * comb(d + 1, m)
     expected_degree = (d + 2) // 2  # the outer sphere's regular valency
     iso_possible = expected_size <= ISO_VERTEX_CAP
-    iso_every_vertex = iso_possible and n <= FULL_MODE_LIMIT
+    iso_every_vertex = iso_possible and n * expected_sphere <= ISO_SEARCH_VERTICES
     reference = bipartite_double(_odd_core(r)) if iso_possible else None
 
     vertex, nbr = np.arange(n), g.neighbor_array()

@@ -3,16 +3,17 @@
 Graphs are simple and undirected, with vertices 0..n-1 and adjacency kept
 as sorted neighbor tuples (the padded neighbor array is derived on demand).
 All-pairs distances come from one level-synchronous BFS run from every
-source at once: the frontier is a bit-packed n x n array, and each level is
-one OR round (``neighborhood_or``), which ORs rows over every closed
-neighborhood of the CSR chunks, so a level costs (2m + n) n / 64 word
-operations whatever the degrees.  The connectivity sweeps' shell flood runs
-the same round.  Distances are stored one byte per entry, which keeps the
-largest catalogue members cheap to hold in memory, and they are the only
-n x n form of the distance classes: a check that needs the pairs at
-distance h takes ``dist == h``.  A graph of diameter above 255 is refused
-rather than wrapped, and the memory model is consulted before anything of
-size n x n is allocated.
+source at once: ``flood``, seeded with every vertex's own bit in a
+bit-packed n x n array, adds the pairs at distance L in round L, and its
+final row 0 names the vertices 0 cannot reach.  A round ORs rows over every
+closed neighborhood of the CSR chunks, (2m + n) n / 64 word operations
+whatever the degrees; the connectivity sweeps' shell flood is the same
+generator, masked by the shells.  Distances are stored one byte per entry,
+which keeps the largest catalogue members cheap to hold in memory, and they
+are the only n x n form of the distance classes: a check that needs the
+pairs at distance h takes ``dist == h``.  A graph of diameter above 255 is
+refused rather than wrapped, and the memory model is consulted before
+anything of size n x n is allocated.
 """
 
 from __future__ import annotations
@@ -137,59 +138,52 @@ def neighborhood_chunks(g: Graph) -> list[tuple[int, int, np.ndarray, np.ndarray
     return chunks
 
 
-def neighborhood_or(chunks: list[tuple[int, int, np.ndarray, np.ndarray]], rows: np.ndarray,
-                    out: np.ndarray, gathered: np.ndarray) -> None:
-    """One OR round over closed neighborhoods: out[v] becomes the bitwise OR
-    of rows[w] over v and its neighbors.  ``chunks`` come from
-    ``neighborhood_chunks``, and ``gathered`` is scratch with at least n rows
-    shaped like ``rows``, so a round costs (2m + n) words per column."""
-    for a, b, starts, members in chunks:
-        block = np.take(rows, members, axis=0, out=gathered[:len(members)])
-        np.bitwise_or.reduceat(block, starts, axis=0, out=out[a:b])
+def flood(g: Graph, reached: np.ndarray, inside: Optional[np.ndarray] = None):
+    """Grow the bit-packed sets ``reached`` in place to a fixed point by OR
+    rounds over closed neighborhoods, ANDed with ``inside`` when given (which
+    must hold ``reached``), and yield each round's new bits in a buffer the
+    next round reuses; a round costs (2m + n) words per column."""
+    chunks = neighborhood_chunks(g)
+    nxt, gathered = np.empty_like(reached), np.empty_like(reached)
+    while True:
+        for a, b, starts, members in chunks:
+            block = np.take(reached, members, axis=0, out=gathered[:len(members)])
+            np.bitwise_or.reduceat(block, starts, axis=0, out=nxt[a:b])
+        if inside is not None:
+            nxt &= inside
+        nxt ^= reached  # v's own row is in the OR, so the new bits are left
+        if not nxt.any():
+            return
+        reached |= nxt
+        yield nxt
 
 
 def distance_data(g: Graph) -> DistanceData:
-    """All-pairs distances by one BFS from every source at once.
+    """All-pairs distances: the flood seeded with every vertex's own bit,
+    whose round L adds the pairs at distance L.
 
-    Raises DisconnectedGraphError naming vertex 0 and the first vertex it
-    cannot reach, ValueError when the memory model refuses the BFS, and
-    ValueError naming the first source with a distance above MAX_DISTANCE,
-    the largest one byte holds, and its eccentricity.
+    Raises ValueError when the memory model refuses the BFS or, naming the
+    first source and its eccentricity, when a distance exceeds MAX_DISTANCE
+    (the largest one byte holds), and then DisconnectedGraphError naming
+    vertex 0 and the first vertex it cannot reach.
     """
     n = g.n
-    unreachable = np.flatnonzero(bfs_distances(g, 0) < 0)
-    if unreachable.size:
-        raise DisconnectedGraphError(0, int(unreachable[0]))
     memory.require(f"all-pairs distances on {n} vertices",
                    memory.distance_bytes(n, 2 * g.num_edges + n))
-    chunks = neighborhood_chunks(g)
-    # frontier row x, bit-packed 64 vertices per word, is the set of vertices
-    # at the current level from x; the next level from v is the union of the
-    # frontier rows of v's neighbors, less visited vertices (v's own row adds
-    # only visited ones)
-    words = -(-n // 64)
-    frontier = np.zeros((n, words), dtype=np.uint64)
+    reached = np.zeros((n, -(-n // 64)), dtype=np.uint64)  # 64 vertices per word
     v = np.arange(n)
-    frontier.view(np.uint8)[v, v // 8] = 0x80 >> (v % 8)  # np.packbits bit order
-    unvisited = ~frontier
-    nxt = np.empty_like(frontier)
-    gathered = np.empty_like(frontier)
-    dist = np.zeros((n, n), dtype=np.uint8)
-    level = 0
-    while True:
-        neighborhood_or(chunks, frontier, nxt, gathered)
-        nxt &= unvisited
-        if not nxt.any():
-            break
-        level += 1
+    reached.view(np.uint8)[v, v // 8] = 0x80 >> (v % 8)  # np.packbits bit order
+    dist, level = np.zeros((n, n), dtype=np.uint8), 0
+    for level, new in enumerate(flood(g, reached), 1):
         if level > MAX_DISTANCE:
-            src = int(np.flatnonzero(nxt.any(axis=1))[0])
+            src = int(np.flatnonzero(new.any(axis=1))[0])
             ecc = int(bfs_distances(g, src).max())
             raise ValueError(f"diameter is at least {ecc} (vertex {src} has eccentricity {ecc}); "
                              f"distances above {MAX_DISTANCE} are not supported")
-        dist[np.unpackbits(nxt.view(np.uint8), axis=1, count=n).view(bool)] = level
-        unvisited ^= nxt
-        frontier, nxt = nxt, frontier
+        dist[np.unpackbits(new.view(np.uint8), axis=1, count=n).view(bool)] = level
+    missing = np.flatnonzero(np.unpackbits(reached[0].view(np.uint8), count=n) == 0)
+    if missing.size:
+        raise DisconnectedGraphError(0, int(missing[0]))
     return DistanceData(dist, level)
 
 

@@ -51,11 +51,14 @@ def available_memory() -> int:
 
 
 def distance_bytes(n: int, entries: int) -> int:
-    """Peak bytes of the all-source BFS over ``entries`` closed-neighborhood
-    entries (2m + n): the uint8 distances and one unpacked level mask, four
-    bit-packed n x n arrays and the neighbor lists."""
-    packed_row = 8 * -(-n // 64)
-    return 2 * n * n + 4 * n * packed_row + 8 * (entries + n + 1)
+    """An upper bound on the peak bytes of the all-source BFS over
+    ``entries`` closed-neighborhood entries (2m + n), term by term."""
+    return (2 * n * n                        # the uint8 distances, one unpacked level mask
+            + 3 * 8 * n * -(-n // 64)        # packed reached, next round and gathered rows
+            + 8 * (entries + 2 * n + 1)      # closed neighborhoods, offsets, chunk starts
+            + 4 * 8 * n                      # the seed's index arrays
+            + 512 * (2 * entries // n + 1)   # per chunk, a tuple and two headers (2 hold > n)
+            + (32 << 10))                    # Python objects and numpy scratch of any n
 
 
 def analysis_bytes(n: int) -> int:

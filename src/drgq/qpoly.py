@@ -253,15 +253,16 @@ def _sampled_pairs(dist, per_pair, sample_size, seed):
 def _instance_blocks(dist, p, mode, sample_size, seed):
     """The instance blocks (h, i, j, xs, ys) of a resolved mode in witness
     order: per level h, each live cell 1 <= i < j with p^h_ij > 0 over the
-    level's pairs, row-major; full mode takes every pair, sampled mode the
-    shortest seeded pair prefix with ``sample_size`` live instances.  No
+    level's pairs, row-major; full mode takes every pair x < y, sampled mode
+    the shortest seeded pair prefix with ``sample_size`` live instances.  No
     other cell can fail: p^h_ij = 0 empties both mixed sets, and (0, h) has
-    mixed sets {x}, {y} and coefficient exactly 1.0, so both sides are Ex - Ey."""
+    mixed sets {x}, {y} and coefficient exactly 1.0, so both sides are Ex - Ey.
+    Nor can (y, x), y > x: it negates (x, y)'s mask and rhs, so repeats its residual."""
     d = p.shape[0] - 1
     live = [[(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1) if p[h, i, j]]
             for h in range(d + 1)]
     if mode == "full":  # one level dist == h at a time
-        levels = ((h, *np.nonzero(dist == h)) for h in range(1, d + 1) if live[h])
+        levels = ((h, *np.nonzero(np.triu(dist == h))) for h in range(1, d + 1) if live[h])
     elif sample_size > 0 and any(live):
         xs, ys = _sampled_pairs(dist, np.array([len(c) for c in live]), sample_size, seed)
         hs = dist[xs, ys]
@@ -277,7 +278,7 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                        tol: Tolerances = DEFAULT_TOLERANCES) -> BalancedSetResult:
     """Decide the balanced-set condition for one nontrivial idempotent.
 
-    Full mode checks every live (h, i<j, x, y) instance, sampled mode those of
+    Full mode checks every live (h, i<j, x<y) instance, sampled mode those of
     a seeded prefix of pairs holding at least ``sample_size`` of them; both
     stop at the first failure in that order.  Duplicate dual values against index 0
     short-circuit to a negative verdict (the condition's own precondition).

@@ -303,6 +303,17 @@ class TestMemoryPreflight:
         assert f"{stage}: an estimated {estimate:,} bytes" in err
         assert f"the {budget:,} bytes" in err
 
+    @pytest.mark.parametrize("spec", ("petersen", "odd:3", "hamming:8,2", "odd:5", "johnson:12,6"))
+    def test_bfs_model_covers_measured_peak(self, spec):
+        g = build_family(spec)
+        tracemalloc.start()
+        try:
+            distance_data(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= memory.distance_bytes(g.n, 2 * g.num_edges + g.n)
+
     @pytest.mark.parametrize("spec", ("hamming:8,2", "odd:5", "johnson:12,6"))
     def test_analysis_model_covers_measured_peak(self, spec):
         # everything after the BFS: the regularity check, the spectra, the

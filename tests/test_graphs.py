@@ -81,6 +81,16 @@ def arbitrary_graphs(draw, max_n=16):
     return build_graph(n, edges)
 
 
+@st.composite
+def disconnected_graphs(draw, max_n=16):
+    """Two drawn graphs side by side, relabelled by a drawn permutation, so
+    at least two components."""
+    a, b = draw(arbitrary_graphs(max_n=max_n // 2)), draw(arbitrary_graphs(max_n=max_n // 2))
+    order = draw(st.permutations(range(a.n + b.n)))
+    edges = [*a.edges(), *((a.n + u, a.n + v) for u, v in b.edges())]
+    return build_graph(a.n + b.n, [(order[u], order[v]) for u, v in edges])
+
+
 class TestBuildGraph:
     def test_triangle(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
@@ -137,6 +147,15 @@ class TestDistanceData:
         with pytest.raises(DisconnectedGraphError) as exc:
             distance_data(g)
         assert (exc.value.u, exc.value.v) == (0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(disconnected_graphs())
+    def test_disconnected_pair_matches_networkx(self, g):
+        # the flood's final row 0 lacks exactly the vertices outside 0's component
+        outside = set(range(g.n)) - nx.node_connected_component(to_nx(g), 0)
+        with pytest.raises(DisconnectedGraphError) as exc:
+            distance_data(g)
+        assert (exc.value.u, exc.value.v) == (0, min(outside))
 
     @pytest.mark.parametrize("spec", CATALOGUE + ("johnson:10,5", "hamming:8,2"))
     def test_matches_per_source_bfs(self, spec):

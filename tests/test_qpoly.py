@@ -335,25 +335,45 @@ class TestBatchedKernel:
             assert [type(v) for v in w] == [int] * 5 + [float]
 
     def test_full_positive_counts_every_instance(self, bundles):
-        # the n k_h pairs at distance h, once per cell 1 <= i < j with p^h_ij > 0
+        # the n k_h / 2 unordered pairs at distance h, once per cell
+        # 1 <= i < j with p^h_ij > 0
         for b in bundles.values():
             for res in b.qpoly.balanced.values():
                 if res.mode == "full" and res.qpoly:
                     assert res.instances == sum(
-                        b.graph.n * b.ia.sphere_sizes[h] * len(live_cells(b, h))
+                        b.graph.n * b.ia.sphere_sizes[h] // 2 * len(live_cells(b, h))
                         for h in range(1, b.ia.d + 1))
 
     def test_full_negative_counts_up_to_witness(self, small):
-        # live instances before the witness in (h, i<j, x, y) order, plus the witness
+        # live instances before the witness in (h, i<j, x<y) order, plus the witness
         b = small["odd:3"]
         res = balanced_set_check(b.dd, b.ia, b.sd, 1, mode="full")
         h, i, j, x, y, rel = res.witness
-        dist = b.dd.dist
+        dist = np.triu(b.dd.dist)
         before = sum(int((dist == hh).sum()) * len(live_cells(b, hh)) for hh in range(1, h))
         pairs = [tuple(map(int, q)) for q in np.argwhere(dist == h)]
         before += live_cells(b, h).index((i, j)) * len(pairs) + pairs.index((x, y))
         assert res.instances == before + 1
         assert res.worst_residual >= rel
+
+    def test_full_matches_ordered_pair_sweep(self, small):
+        # (y, x) has the negated mask and rhs of (x, y), so a sweep over every
+        # ordered pair reaches full mode's verdict, witness and worst residual
+        for b in small.values():
+            n, dist = b.graph.n, b.dd.dist
+            for e in range(1, b.ia.d + 1):
+                if guarded(b, e):
+                    continue
+                blocks = []
+                for h in range(1, b.ia.d + 1):
+                    pairs = np.array([(x, y) for x in range(n) for y in range(n) if dist[x, y] == h])
+                    blocks += [(h, i, j, pairs[:, 0], pairs[:, 1]) for i, j in live_cells(b, h)]
+                worst, _, witness = qpoly._sweep(blocks, b.sd, e,
+                                                 qpoly._coefficients(b.ia, b.sd.dual[e]),
+                                                 b.ia.p, b.tol.balanced_rel)
+                res = balanced_set_check(b.dd, b.ia, b.sd, e, mode="full")
+                assert res.qpoly == (witness is None)
+                assert (res.witness, res.worst_residual) == (witness, worst)
 
     def test_sampled_witness_is_smallest_failure_in_sample(self, small):
         b = small["odd:3"]

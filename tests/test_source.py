@@ -5,9 +5,11 @@ so the package raises its documented errors instead of asserting.  The dense
 projector ``SpectralData.idempotent`` is the acceptance battery's reference
 only: the pipeline reads E_j from its d+1 coordinates and forms no n x n
 float after the BFS.  The full-sweep vertex limit has one owner,
-``qpoly.FULL_MODE_LIMIT``, and only the odd-graph census runs the
-connectivity label kernel.  A module imports only names it uses, and every
-``Tolerances`` field is read by some check outside ``tolerances.py``.
+``qpoly.FULL_MODE_LIMIT``, which connectivity does not read, and only the
+odd-graph census runs the connectivity label kernel.  The OR round over
+closed neighborhoods is written once, in ``graphs.flood``.  A module
+imports only names it uses, and every ``Tolerances`` field is read by some
+check outside ``tolerances.py``.
 """
 
 import ast
@@ -55,6 +57,27 @@ def test_label_kernel_only_in_census():
              if (isinstance(node, ast.Name) and node.id in kernel)
              or (isinstance(node, ast.Attribute) and node.attr in kernel)]
     assert not found, f"label kernel used outside odd_component_census: {', '.join(found)}"
+
+
+def test_or_round_only_in_flood():
+    # the all-source BFS and the shell flood share one OR round
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+             if (path.name, getattr(top, "name", None)) != ("graphs.py", "flood")
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr == "reduceat"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "bitwise_or"]
+    assert not found, f"bitwise_or.reduceat outside graphs.flood: {', '.join(found)}"
+
+
+def test_connectivity_imports_nothing_from_qpoly():
+    tree = ast.parse((Path(drgq.__file__).parent / "connectivity.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("qpoly"))
+             or (isinstance(node, (ast.Import, ast.ImportFrom))
+                 and any(alias.name.endswith("qpoly") for alias in node.names))]
+    assert not found, f"connectivity.py imports qpoly at lines {found}"
 
 
 def test_dense_projector_only_in_spectral():
