@@ -9,8 +9,10 @@ adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
+
+import numpy as np
 
 from .graphs import Graph, build_graph
 
@@ -68,12 +70,18 @@ def _check_size(n_vertices: int) -> None:
 
 def subset_graph(ground: int, k: int, meet: int) -> Graph:
     """k-subsets of a ground set, adjacent when they share exactly ``meet`` elements."""
-    _check_size(comb(ground, k))
-    masks = [sum(1 << x for x in s) for s in combinations(range(ground), k)]
-    n = len(masks)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if (masks[i] & masks[j]).bit_count() == meet]
-    return build_graph(n, edges)
+    n = comb(ground, k)
+    _check_size(n)
+    # products of 0/1 incidence rows count shared elements: at most ground, so exact in float32
+    incidence = np.zeros((n, ground), dtype=np.float32)
+    incidence[np.arange(n).repeat(k), list(chain.from_iterable(combinations(range(ground), k)))] = 1
+    neighbors = []
+    rows = max(1, (1 << 16) // n)  # 2^16 products per block
+    for a in range(0, n, rows):
+        shared = incidence[a:a + rows] @ incidence.T
+        np.fill_diagonal(shared[:, a:], -1)  # a subset is not its own neighbor
+        neighbors.extend(tuple(np.flatnonzero(row == meet).tolist()) for row in shared)
+    return Graph(n, tuple(neighbors))
 
 
 def odd_graph(d: int) -> Graph:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -126,9 +127,9 @@ def neighborhood_chunks(g: Graph) -> list[tuple[int, int, np.ndarray, np.ndarray
     (a, b, starts, members) of at most n entries each, so gathering an
     n-vector per entry costs (2m + n) n however the degrees are spread."""
     indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum([len(nb) + 1 for nb in g.neighbors], out=indptr[1:])
-    indices = np.fromiter((w for v, nb in enumerate(g.neighbors) for w in (v, *nb)),
-                          dtype=np.intp, count=int(indptr[-1]))
+    np.cumsum(np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n) + 1, out=indptr[1:])
+    nbrs = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp, count=int(indptr[-1]) - g.n)
+    indices = np.insert(nbrs, indptr[:-1] - np.arange(g.n), np.arange(g.n))  # v, then its neighbors
     chunks = []
     a = 0
     while a < g.n:

@@ -3,12 +3,14 @@
 A connected graph is distance-regular when, for every pair (x, y) at
 distance h, the numbers of neighbours of x at distance h-1, h and h+1 from
 y depend on h alone (Brouwer, Cohen and Neumaier, Distance-Regular Graphs,
-1989, 4.1).  Each neighbour lies at one of those distances, so two exact
-counts per pair, gathered over the BFS's closed-neighbourhood chunks,
-decide the check: those nearer to y and those farther, the level count
-being deg(x) less both; every other p^h_1j is 0.  On failure the witness
-names two same-distance pairs whose counts differ.  The p^h_ij tensor then
-follows by A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, in exact integers.
+1989, 4.1).  So two exact counts per pair decide the check: the neighbours
+nearer to y and those farther, the level count being k less both.  An
+irregular graph fails on its degrees alone; in a k-regular one, each chunk
+of closed neighbourhoods is a fixed-width block summed over its k
+neighbours and tested against its classes' first pairs, with no n x n
+count array.  On failure the witness names two same-distance pairs whose
+counts differ.  The p^h_ij tensor then follows by
+A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, in exact integers.
 """
 
 from __future__ import annotations
@@ -85,43 +87,54 @@ class ClassificationFlags:
 
 def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData, NotDRG]:
     """Verify the neighbour-count constancy for every (h, j); exhaustive, not sampled."""
-    d, dist = dd.diameter, dd.dist
+    d, dist, n = dd.diameter, dd.dist, g.n
     if d == 0:
         raise ValueError("a single-vertex graph has no intersection data")
-    # per pair (x, y), the neighbours of x nearer to y and those farther, in
-    # the narrowest unsigned dtype that holds the largest degree
-    degree = np.array(g.degrees(), dtype=np.min_scalar_type(max(g.degrees())))
-    below, above = np.empty_like(dist, dtype=degree.dtype), np.empty_like(dist, dtype=degree.dtype)
-    for a, b, starts, members in neighborhood_chunks(g):
-        near = dist[members]
-        owner = np.repeat(dist[a:b], np.diff(starts, append=len(members)), axis=0)
-        np.add.reduceat(near < owner, starts, axis=0, dtype=degree.dtype, out=below[a:b])
-        np.add.reduceat(near > owner, starts, axis=0, dtype=degree.dtype, out=above[a:b])
-    del near, owner  # the last chunk's temporaries go before the classes are formed
-    p1 = np.zeros((d + 1, d + 1), dtype=np.int64)  # p1[h, j] = p^h_1j
-    for h in range(d + 1):
-        in_class = dist == h
-        lower, upper = below[in_class], above[in_class]
-        if lower.size == 0:
-            continue
-        # a neighbour of x lies at distance h - 1, h or h + 1 from y; the
-        # class lists its pairs row-major, so row x holds in_class[x].sum()
-        level = np.repeat(degree, in_class.sum(axis=1)) - lower - upper
-        for j, vals in ((h - 1, lower), (h, level), (h + 1, upper)):
-            if not 0 <= j <= d:
-                continue
-            kdiff = int(np.argmax(vals != vals[0]))
-            if vals[kdiff] != vals[0]:
-                (x0, y0), (x1, y1) = np.argwhere(in_class)[[0, kdiff]].tolist()
-                return NotDRG(h, 1, j, (x0, y0), int(vals[0]), (x1, y1), int(vals[kdiff]))
-            p1[h, j] = vals[0]
-
-    b = tuple(int(p1[i, i + 1]) for i in range(d))
-    c = tuple(int(p1[i, i - 1]) for i in range(1, d + 1))
+    degrees = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=n)
+    k, x = int(degrees[0]), int(np.argmax(degrees != degrees[0]))
+    if degrees[x] != k:  # the class-0 pair (x, x) sees deg(x) neighbours farther
+        return NotDRG(0, 1, 1, (0, 0), k, (x, x), int(degrees[x]))
+    # per class, its first pair in row-major order and that pair's counts of
+    # neighbours nearer and farther, in the narrowest unsigned dtype holding k
+    ref = np.zeros((2, d + 1), dtype=np.min_scalar_type(k))
+    opener, differs = {}, {}  # h -> its first pair; (h, j) -> the first pair off ref
+    width = max(1, n // (k + 1))  # the rows of a chunk of at most n entries
+    near, side = np.empty((width, k, n), dtype=dist.dtype), np.empty((width, k, n), dtype=bool)
+    counts = np.empty((2, width, n), dtype=ref.dtype)
+    for a, b, _, members in neighborhood_chunks(g):
+        rows, cls = b - a, dist[a:b]
+        # every closed neighbourhood has k + 1 members, v first; every index
+        # taken is in range, so mode="clip" only spares take a buffered copy
+        np.take(dist, members.reshape(rows, k + 1)[:, 1:], axis=0, out=near[:rows], mode="clip")
+        for i, compare in enumerate((np.less, np.greater)):
+            compare(near[:rows], cls[:, None], out=side[:rows])
+            np.add.reduce(side[:rows].view(np.uint8), axis=1, dtype=ref.dtype, out=counts[i, :rows])
+        for h in [h for h in range(d + 1) if h not in opener]:
+            x, y = divmod(int(np.argmax(cls == h)), n)
+            if cls[x, y] == h:  # the earliest chunk holding class h
+                opener[h], ref[:, h] = (a + x, y), counts[:, x, y]
+        off = counts[:, :rows] != np.take(ref, cls, axis=1, mode="clip")
+        # where the nearer count agrees, the level count is off exactly where
+        # the farther one is, so a class's first cell off is (h, h - 1) or (h, h)
+        for shift, mask in ((-1, off[0]), (0, off.any(axis=0))):
+            at = np.flatnonzero(mask)
+            classes, first = np.unique(cls.flat[at], return_index=True)
+            for h, p in zip(classes.tolist(), at[first].tolist()):
+                differs.setdefault((h, h + shift), (a + p // n, p % n))
+    if differs:
+        h, j = min(differs)
+        pair_a, pair_b = opener[h], differs[h, j]
+        count_a, count_b = (int(np.count_nonzero(dist[list(g.neighbors[x]), y] == j))
+                            for x, y in (pair_a, pair_b))
+        return NotDRG(h, 1, j, pair_a, count_a, pair_b, count_b)
+    nearer, farther = ref.astype(np.int64)  # c_h and b_h
+    b, c = tuple(farther[:-1].tolist()), tuple(nearer[1:].tolist())
     # a connected graph of diameter d that passed the constancy check cannot
     # have a stalled distance partition, but check it anyway
     if any(x <= 0 for x in b) or any(x <= 0 for x in c):
         raise MathAssertionError(f"degenerate intersection array b={b} c={c}")
+    # p1[h, j] = p^h_1j
+    p1 = np.diag(nearer[1:], -1) + np.diag(k - nearer - farther) + np.diag(farther[:-1], 1)
     # L_i[h, j] = p^h_ij is the matrix of multiplication by A_i on the basis A_j
     layers = [np.eye(d + 1, dtype=np.int64), p1]
     for i in range(1, d):

@@ -1,14 +1,18 @@
 """Reference helpers the tests compare the package against: plain
 per-vertex graph code with no counterpart in the package's pipeline, and
-the depth-first Krein ordering search the package's walk replaced."""
+the older kernels the package replaced (the depth-first Krein ordering
+search, the pair-loop subset graph and the reduceat regularity check)."""
 
 from collections import deque
-from typing import Optional
+from itertools import combinations
+from typing import Optional, Union
 
 import numpy as np
 
 from drgq.connectivity import union_subconstituent
-from drgq.graphs import DistanceData, Graph, connected_components
+from drgq.graphs import (DistanceData, Graph, build_graph, connected_components,
+                         neighborhood_chunks)
+from drgq.intersection import NotDRG
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -90,3 +94,44 @@ def krein_orderings_dfs(q: np.ndarray) -> list[list[int]]:
             extend([0, c])
         out.extend(found)
     return out
+
+
+def subset_graph_pairs(ground: int, k: int, meet: int) -> Graph:
+    """k-subsets of a ground set, adjacent when they share exactly ``meet``
+    elements, by testing every pair of bit masks."""
+    masks = [sum(1 << x for x in s) for s in combinations(range(ground), k)]
+    n = len(masks)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if (masks[i] & masks[j]).bit_count() == meet]
+    return build_graph(n, edges)
+
+
+def regularity_reduceat(g: Graph, dd: DistanceData) -> Union[NotDRG, np.ndarray]:
+    """The regularity check as n x n count arrays: per pair (x, y), the
+    neighbours of x nearer to y and those farther, summed over each closed
+    neighbourhood by reduceat, then tested one distance class at a time.
+    Returns the first violation in (h, j) order or the matrix p1[h, j] = p^h_1j."""
+    d, dist = dd.diameter, dd.dist
+    degree = np.array(g.degrees(), dtype=np.min_scalar_type(max(g.degrees())))
+    below, above = np.empty_like(dist, dtype=degree.dtype), np.empty_like(dist, dtype=degree.dtype)
+    for a, b, starts, members in neighborhood_chunks(g):
+        near = dist[members]
+        owner = np.repeat(dist[a:b], np.diff(starts, append=len(members)), axis=0)
+        np.add.reduceat(near < owner, starts, axis=0, dtype=degree.dtype, out=below[a:b])
+        np.add.reduceat(near > owner, starts, axis=0, dtype=degree.dtype, out=above[a:b])
+    p1 = np.zeros((d + 1, d + 1), dtype=np.int64)
+    for h in range(d + 1):
+        in_class = dist == h
+        lower, upper = below[in_class], above[in_class]
+        if lower.size == 0:
+            continue
+        level = np.repeat(degree, in_class.sum(axis=1)) - lower - upper
+        for j, vals in ((h - 1, lower), (h, level), (h + 1, upper)):
+            if not 0 <= j <= d:
+                continue
+            kdiff = int(np.argmax(vals != vals[0]))
+            if vals[kdiff] != vals[0]:
+                (x0, y0), (x1, y1) = np.argwhere(in_class)[[0, kdiff]].tolist()
+                return NotDRG(h, 1, j, (x0, y0), int(vals[0]), (x1, y1), int(vals[kdiff]))
+            p1[h, j] = vals[0]
+    return p1

@@ -18,7 +18,6 @@ from drgq.families import build_family, cycle_graph, petersen_graph
 from drgq.graphs import (ISO_VERTEX_CAP, DistanceData, are_isomorphic, bipartite_double,
                          build_graph, connected_components, distance_data,
                          induced_subgraph)
-from drgq.qpoly import FULL_MODE_LIMIT
 from reference import last_two_connected, tail_connected, two_coloring
 
 
@@ -244,6 +243,9 @@ def _per_vertex_census(g, dd, clean):
     first = (0, [])
     iso = 0
     halves_ok = True
+    # the census's coverage rule: every base vertex while n times the outer
+    # sphere's size is at most ISO_SEARCH_VERTICES, else vertex 0
+    every_vertex = g.n * clean.sphere_size <= connectivity.ISO_SEARCH_VERTICES
     for gamma in range(g.n):
         sphere = dd.sphere(gamma, d)
         if sphere.size != clean.sphere_size:
@@ -271,7 +273,7 @@ def _per_vertex_census(g, dd, clean):
             if coloring is None or coloring.count(0) != coloring.count(1):
                 halves_ok = False
                 failures.append(f"gamma={gamma} component {ci}: not bipartite with equal halves")
-            if not clean.iso_skipped and (g.n <= FULL_MODE_LIMIT or gamma == 0):
+            if not clean.iso_skipped and (every_vertex or gamma == 0):
                 if are_isomorphic(comp_graph, reference)[0]:
                     iso += 1
                 else:

@@ -4,12 +4,14 @@ from itertools import combinations, product
 
 import pytest
 
+from drgq.catalogue import CATALOGUE
 from drgq.families import (FamilySpec, FamilySpecError, build_family,
                            complete_graph, cycle_graph, folded_cube,
                            hamming_graph, johnson_graph, odd_graph,
                            petersen_graph)
 from drgq.graphs import are_isomorphic, distance_data
 from drgq.intersection import IntersectionData, check_distance_regular
+from reference import subset_graph_pairs
 
 
 def profile(g):
@@ -87,6 +89,18 @@ def test_odd_outer_sphere_matches_johnson_mid_sphere():
             far = set(dd_odd.sphere(gamma, d).tolist())
             mid = set(dd_johnson.sphere(gamma, m).tolist())
             assert far == mid
+
+
+# (ground, k, meet) of each family built as a subset graph
+SUBSET_PARAMS = {"odd": lambda d: (2 * d + 1, d, 0), "johnson": lambda n, k: (n, k, k - 1),
+                 "complete": lambda n: (n, 1, 0)}
+
+
+@pytest.mark.parametrize("spec", [s for s in CATALOGUE if s.split(":")[0] in SUBSET_PARAMS]
+                         + ["complete:5", "johnson:12,6"])
+def test_subset_graph_matches_pair_loop(spec):
+    fs = FamilySpec.parse(spec)
+    assert fs.build() == subset_graph_pairs(*SUBSET_PARAMS[fs.kind](*fs.params))
 
 
 def test_folded_cube_labels_and_determinism():

@@ -1,10 +1,11 @@
 """Distance-regularity checking, the p-tensor, and classification flags."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drgq.catalogue import CATALOGUE
@@ -14,6 +15,7 @@ from drgq.families import (build_family, complete_graph, cycle_graph,
 from drgq.graphs import DistanceData, build_graph, distance_data
 from drgq.intersection import (IntersectionData, NotDRG, check_distance_regular,
                                classify)
+from reference import regularity_reduceat
 
 
 def analyze(g):
@@ -192,6 +194,83 @@ def test_counts_match_dense_products_on_irregular_graphs(kind, n, chords, rnd):
 def test_counts_match_dense_products(g):
     # the wheel of 301 vertices has a hub of degree 300, so its counts are uint16
     assert_matches_dense_reference(g)
+
+
+def circulant(n, k):
+    """The k-regular circulant on n vertices (n k even): v is joined to the
+    k // 2 nearest vertices on each side, and to v + n / 2 when k is odd."""
+    steps = list(range(1, k // 2 + 1)) + ([n // 2] if k % 2 else [])
+    return build_graph(n, [(v, (v + s) % n) for v in range(n) for s in steps])
+
+
+def assert_matches_both_oracles(g):
+    """The check against the dense products and the reduceat kernel: the
+    same witness, or the same tensor (the kernel gives its p^h_1j slice)."""
+    try:
+        dd, res = analyze(g)
+    except DisconnectedGraphError:
+        assume(False)
+    dense, kernel = dense_reference(g, dd), regularity_reduceat(g, dd)
+    if isinstance(dense, NotDRG):
+        assert res == dense == kernel
+    else:
+        assert isinstance(res, IntersectionData)
+        assert (res.p == dense).all() and (res.p[:, 1, :] == kernel).all()
+
+
+# n = 14, 13 and 22 are not multiples of k + 1, so the last chunk is short
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=50),
+       st.integers(min_value=0, max_value=40), st.randoms(use_true_random=False))
+@example(3, 10, 0, random.Random(0))
+@example(4, 8, 30, random.Random(1))
+@example(5, 16, 30, random.Random(2))
+def test_check_matches_oracles_on_random_regular_graphs(k, extra, switches, rnd):
+    n = k + 1 + extra
+    n += n * k % 2
+    assert_matches_both_oracles(edge_switched(circulant(n, k), rnd, switches))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(("hamming:4,2", "hamming:3,3", "johnson:7,3", "johnson:8,3", "odd:4",
+                        "folded_cube:7")),
+       st.integers(min_value=0, max_value=6), st.randoms(use_true_random=False))
+def test_check_matches_oracles_on_edge_switched_families(spec, switches, rnd):
+    assert_matches_both_oracles(edge_switched(build_family(spec), rnd, switches))
+
+
+def cocktail_party(n):
+    """K_n less a perfect matching, v matched with v + n / 2."""
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u + n // 2])
+
+
+def test_cocktail_party_counts_are_uint16():
+    # k = 298 > 255, so the counts are uint16
+    _, ia = analyze(cocktail_party(300))
+    assert (ia.b, ia.c, ia.sphere_sizes) == ((298, 1), (1, 298), (1, 298, 1))
+    assert_matches_both_oracles(cocktail_party(300))
+
+
+def test_cycle_complement_rejected_with_uint16_counts():
+    # the complement of C_300 is 297-regular of diameter 2 but not strongly
+    # regular: non-adjacent pairs two steps apart on the cycle share more
+    g = build_graph(300, [(u, v) for u in range(300) for v in range(u + 2, 300)
+                          if (u, v) != (0, 299)])
+    _, res = analyze(g)
+    assert isinstance(res, NotDRG) and res.h > 0
+    assert_matches_both_oracles(g)
+
+
+def test_check_peak_on_johnson_12_6():
+    g = build_family("johnson:12,6")
+    dd = distance_data(g)
+    tracemalloc.start()
+    try:
+        check_distance_regular(g, dd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_700_000
 
 
 class TestIntersectionData:

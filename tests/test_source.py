@@ -7,7 +7,8 @@ only: the pipeline reads E_j from its d+1 coordinates and forms no n x n
 float after the BFS.  The full-sweep vertex limit has one owner,
 ``qpoly.FULL_MODE_LIMIT``, which connectivity does not read, and only the
 odd-graph census runs the connectivity label kernel.  The OR round over
-closed neighborhoods is written once, in ``graphs.flood``.  A module
+closed neighborhoods is written once, in ``graphs.flood``, and the
+regularity check sums fixed-width blocks without ``reduceat``.  A module
 imports only names it uses, and every ``Tolerances`` field is read by some
 check outside ``tolerances.py``.
 """
@@ -69,6 +70,14 @@ def test_or_round_only_in_flood():
              if isinstance(node, ast.Attribute) and node.attr == "reduceat"
              and isinstance(node.value, ast.Attribute) and node.value.attr == "bitwise_or"]
     assert not found, f"bitwise_or.reduceat outside graphs.flood: {', '.join(found)}"
+
+
+def test_regularity_check_calls_no_reduceat():
+    # the check sums fixed-width neighbourhood blocks instead
+    tree = ast.parse((Path(drgq.__file__).parent / "intersection.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "reduceat"]
+    assert not found, f"reduceat in intersection.py at lines {found}"
 
 
 def test_connectivity_imports_nothing_from_qpoly():
