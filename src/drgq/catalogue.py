@@ -77,7 +77,7 @@ def make_bundle(g: Graph, name: str, family: Optional[FamilySpec] = None,
     dd = distance_data(g)
     timings["distance"] = time.perf_counter() - t0
     memory.require(f"the analysis of {g.n} vertices at diameter {dd.diameter}",
-                   memory.analysis_bytes(g.n))
+                   memory.analysis_bytes(g.n, dd.diameter))
     t0 = time.perf_counter()
     ia = check_distance_regular(g, dd)
     timings["drg_check"] = time.perf_counter() - t0

@@ -90,22 +90,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in adj))
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from a single source; unreachable vertices get -1."""
-    dist = np.full(g.n, -1, dtype=np.int32)
-    dist[source] = 0
-    queue = deque([source])
-    nb = g.neighbors
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in nb[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
-    return dist
-
-
 @dataclass
 class DistanceData:
     """All-pairs distances, the one representation of the distance classes.
@@ -174,14 +158,18 @@ def distance_data(g: Graph) -> DistanceData:
     reached = np.zeros((n, -(-n // 64)), dtype=np.uint64)  # 64 vertices per word
     v = np.arange(n)
     reached.view(np.uint8)[v, v // 8] = 0x80 >> (v % 8)  # np.packbits bit order
-    dist, level = np.zeros((n, n), dtype=np.uint8), 0
+    dist, level, src = np.zeros((n, n), dtype=np.uint8), 0, None
     for level, new in enumerate(flood(g, reached), 1):
-        if level > MAX_DISTANCE:
+        if level <= MAX_DISTANCE:
+            dist[np.unpackbits(new.view(np.uint8), axis=1, count=n).view(bool)] = level
+            continue
+        if src is None:  # the first source with a vertex beyond MAX_DISTANCE
             src = int(np.flatnonzero(new.any(axis=1))[0])
-            ecc = int(bfs_distances(g, src).max())
-            raise ValueError(f"diameter is at least {ecc} (vertex {src} has eccentricity {ecc}); "
-                             f"distances above {MAX_DISTANCE} are not supported")
-        dist[np.unpackbits(new.view(np.uint8), axis=1, count=n).view(bool)] = level
+        if new[src].any():  # the last round that adds to its row is its eccentricity
+            ecc = level
+    if src is not None:
+        raise ValueError(f"diameter is at least {ecc} (vertex {src} has eccentricity {ecc}); "
+                         f"distances above {MAX_DISTANCE} are not supported")
     missing = np.flatnonzero(np.unpackbits(reached[0].view(np.uint8), count=n) == 0)
     if missing.size:
         raise DisconnectedGraphError(0, int(missing[0]))

@@ -135,12 +135,17 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
         raise MathAssertionError(f"degenerate intersection array b={b} c={c}")
     # p1[h, j] = p^h_1j
     p1 = np.diag(nearer[1:], -1) + np.diag(k - nearer - farther) + np.diag(farther[:-1], 1)
-    # L_i[h, j] = p^h_ij is the matrix of multiplication by A_i on the basis A_j
-    layers = [np.eye(d + 1, dtype=np.int64), p1]
+    # p[:, i] = p^h_ij is the matrix of multiplication by A_i on the basis A_j,
+    # filled in place; p1 is tridiagonal, so p1 @ p[:, i] is three shifted rows
+    p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    p[:, 0], p[:, 1] = np.eye(d + 1, dtype=np.int64), p1
+    level = np.diag(p1)[:, None]  # a_h
     for i in range(1, d):
-        nxt = p1 @ layers[i] - p1[i, i] * layers[i] - b[i - 1] * layers[i - 1]
-        layers.append(nxt // c[i])
-    p = np.stack(layers, axis=1)
+        x = p[:, i]
+        nxt = (level - level[i]) * x - b[i - 1] * p[:, i - 1]
+        nxt[1:] += nearer[1:, None] * x[:-1]
+        nxt[:-1] += farther[:-1, None] * x[1:]
+        p[:, i + 1] = nxt // c[i]
     sphere_sizes = tuple(int(p[0, i, i]) for i in range(d + 1))
     return IntersectionData(d, b[0], g.n, p, b, c, sphere_sizes)
 

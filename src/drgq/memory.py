@@ -61,14 +61,17 @@ def distance_bytes(n: int, entries: int) -> int:
             + (32 << 10))                    # Python objects and numpy scratch of any n
 
 
-def analysis_bytes(n: int) -> int:
-    """Peak bytes of the analysis after the BFS: the one-byte distances, the
-    balanced-set factor and the batch buffers.  The regularity check's chunk
+def analysis_bytes(n: int, d: int) -> int:
+    """Peak bytes of the analysis after the BFS at diameter d: the one-byte
+    distances, the balanced-set factor, the batch buffers and four int64 or
+    float64 (d+1)^3 tensors, as many as are alive at once: the p-tensor
+    beside the balanced-set coefficients, the Krein tensor or the idempotent
+    products, each with its temporaries.  The regularity check's chunk
     buffers (under 2 n^2 + 8 n^2 / (k + 1) bytes), the flood's four
     bit-packed n x n arrays (n^2 / 2 bytes in all) and the census's column
     blocks fit inside the factor's 8 n^2 term, distance classes and factors
     are formed one at a time, and no dense projector is formed."""
-    return n * n * (1 + 8 * FLOAT_TEMPORARIES) + BATCH_BUFFER_BYTES
+    return n * n * (1 + 8 * FLOAT_TEMPORARIES) + BATCH_BUFFER_BYTES + 4 * 8 * (d + 1) ** 3
 
 
 def require(stage: str, need: int) -> None:

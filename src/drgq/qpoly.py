@@ -8,7 +8,11 @@ another:
   distance sets to a scaled difference of endpoint projections;
 * ordering recovery works in dual-coordinate space, where entrywise products
   of Bose-Mesner idempotents are diagonal, and asks that each entrywise power
-  of a candidate's dual vector admits exactly one new idempotent into its span;
+  t^p of a candidate's dual vector admits exactly one new idempotent into its
+  span; the span grows as the Krylov chain of diag(t) from the all-ones
+  vector, since the monomials lose their rank by degree 26, and one residual
+  table of the unit dual vectors, reduced once per degree, gives every
+  idempotent's membership;
 * the Krein oracle computes q^h_ij = n tr((E_i o E_j) E_h) / m_h in closed
   form from the d+1 coordinates, (1/(n m_h)) sum_l k_l Q_il Q_jl Q_hl with
   Q_jl the l-th dual eigenvalue of E_j and k_l the sphere sizes, and walks,
@@ -322,41 +326,34 @@ _SPAN_NONMEMBER = 1e-4
 _SPAN_RANK = 1e-10
 
 
-def _span_residual(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    r = vec.copy()
-    for q in basis:
-        r -= (q @ r) * q
-    return r
-
-
 def _ordering_for_candidate(sd: SpectralData, c: int) -> Optional[list[int]]:
+    """Grow the span of t^0 .. t^p, t = dual[c] / dual[c][0], as the Krylov
+    chain of diag(t) from the all-ones vector; column j of ``resid`` is the
+    part of E_j's unit dual vector outside the span so far."""
     d = sd.d
     t = sd.dual[c] / sd.dual[c][0]
-    unit = [sd.dual[j] / np.linalg.norm(sd.dual[j]) for j in range(d + 1)]
-
-    basis: list[np.ndarray] = []
+    resid = (sd.dual / np.linalg.norm(sd.dual, axis=1)[:, None]).T
+    basis = np.zeros((d + 1, d + 1))
     order: list[int] = []
-    remaining = set(range(d + 1))
     for p in range(d + 1):
-        v = t ** p
-        r = _span_residual(v, basis)
+        v = t * basis[p - 1] if p else np.ones(d + 1)
+        r = v - basis.T @ (basis @ v)
+        r -= basis.T @ (basis @ r)  # twice is enough for orthogonality
         if np.linalg.norm(r) <= _SPAN_RANK * np.linalg.norm(v):
             return None  # span stalled: no new idempotent can enter at this degree
-        basis.append(r / np.linalg.norm(r))
-
-        entering = []
-        for j in sorted(remaining):
-            resid = float(np.linalg.norm(_span_residual(unit[j], basis)))
-            if resid < _SPAN_MEMBER:
-                entering.append(j)
-            elif resid < _SPAN_NONMEMBER:
-                raise NumericalError(
-                    f"span membership of idempotent {j} at degree {p} is ambiguous "
-                    f"(residual {resid:.3e})")
-        if len(entering) != 1:
+        basis[p] = q = r / np.linalg.norm(r)
+        resid -= np.outer(q, q @ resid)
+        norms = np.linalg.norm(resid, axis=0)
+        norms[order] = np.inf  # entered columns stay in the span
+        near = (norms >= _SPAN_MEMBER) & (norms < _SPAN_NONMEMBER)
+        if near.any():
+            j = int(np.argmax(near))
+            raise NumericalError(f"span membership of idempotent {j} at degree {p} is ambiguous "
+                                 f"(residual {norms[j]:.3e})")
+        entering = np.flatnonzero(norms < _SPAN_MEMBER)
+        if entering.size != 1:
             return None
-        order.append(entering[0])
-        remaining.remove(entering[0])
+        order.append(int(entering[0]))
     if order[0] != 0 or order[1] != c:
         raise NumericalError(f"span chain for idempotent {c} produced ordering {order}, "
                              f"which does not start 0, {c}")
@@ -384,7 +381,8 @@ def krein_parameters(sd: SpectralData, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     the trace is a sum over the d+1 distances.
     """
     dual = sd.dual
-    q = np.einsum("l,il,jl,hl->hij", np.asarray(sd.sizes, dtype=np.float64), dual, dual, dual)
+    q = np.einsum("l,il,jl,hl->hij", np.asarray(sd.sizes, dtype=np.float64), dual, dual, dual,
+                  optimize=True)
     q /= sd.n * np.asarray(sd.mult, dtype=np.float64)[:, None, None]
     eps = tol.matrix_eps(float(sd.theta[0]))  # theta_0 = k exactly
     low = float(q.min())

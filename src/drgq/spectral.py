@@ -115,7 +115,7 @@ class SpectralData:
 def idempotent_products(dual: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
     """E_i E_j in the basis of distance classes: entry [i, j, h] is its value
     on the pairs at distance h, sum_ab dual[i,a] dual[j,b] p^h_ab / n^2."""
-    return np.einsum("ia,jb,hab->ijh", dual, dual, p) / (n * n)
+    return np.einsum("ia,jb,hab->ijh", dual, dual, p, optimize=True) / (n * n)
 
 
 def compute_spectral_data(dd: DistanceData, ia: IntersectionData,

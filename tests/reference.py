@@ -23,6 +23,22 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
+def bfs_distances(g: Graph, source: int) -> np.ndarray:
+    """Hop distances from a single source; unreachable vertices get -1."""
+    dist = np.full(g.n, -1, dtype=np.int32)
+    dist[source] = 0
+    queue = deque([source])
+    nb = g.neighbors
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for w in nb[u]:
+            if dist[w] < 0:
+                dist[w] = du
+                queue.append(w)
+    return dist
+
+
 def two_coloring(g: Graph) -> Optional[list[int]]:
     """A proper 2-coloring as a 0/1 list, or None when an odd cycle exists."""
     color = [-1] * g.n

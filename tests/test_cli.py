@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from drgq import catalogue, memory
+from drgq import catalogue, memory, qpoly
 from drgq.cli import main
 from drgq.families import build_family, cycle_graph, petersen_graph
 from drgq.graph6 import save_graph6_file, write_graph6
@@ -63,6 +63,13 @@ class TestAnalyze:
         a, b = json.loads(first), json.loads(second)
         a.pop("timings"), b.pop("timings")
         assert json.dumps(a) == json.dumps(b)
+
+    def test_long_cycle_orderings(self, capsys):
+        # d = 40: the span chain runs to degree 40 and agrees with the Krein walk
+        code, out, _ = run(capsys, "analyze", "cycle:80")
+        assert code == 0
+        qp = json.loads(out)["qpoly"]
+        assert len(qp["orderings"]) == 16 and qp["consistent"]
 
     def test_pretty_output(self, capsys):
         code, out, _ = run(capsys, "analyze", "petersen", "--pretty")
@@ -293,7 +300,7 @@ class TestMemoryPreflight:
         ("hamming:4,2", 1000, "all-pairs distances on 16 vertices",
          memory.distance_bytes(16, 80)),
         ("hamming:4,2", memory.distance_bytes(16, 80),
-         "the analysis of 16 vertices at diameter 4", memory.analysis_bytes(16)),
+         "the analysis of 16 vertices at diameter 4", memory.analysis_bytes(16, 4)),
     ])
     def test_refused_with_estimate(self, capsys, monkeypatch, spec, budget, stage, estimate):
         assert budget < estimate
@@ -331,7 +338,24 @@ class TestMemoryPreflight:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dd.dist.nbytes + peak <= memory.analysis_bytes(g.n)
+        assert dd.dist.nbytes + peak <= memory.analysis_bytes(g.n, dd.diameter)
+
+    @pytest.mark.parametrize("spec", ("cycle:200", "cycle:400", "cycle:510"))
+    def test_analysis_model_covers_tensor_peak(self, spec):
+        # at large diameter the (d+1)^3 tensors dominate: the p-tensor, the
+        # idempotent products, the balanced-set coefficients and the Krein tensor
+        g = build_family(spec)
+        dd = distance_data(g)
+        tracemalloc.start()
+        try:
+            ia = check_distance_regular(g, dd)
+            sd = compute_spectral_data(dd, ia)
+            qpoly._coefficients(ia, sd.dual[1])
+            qpoly.krein_parameters(sd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dd.dist.nbytes + peak <= memory.analysis_bytes(g.n, dd.diameter)
 
     def test_cgroup_limit(self, tmp_path, monkeypatch):
         unlimited, limited = tmp_path / "memory.max", tmp_path / "limit_in_bytes"

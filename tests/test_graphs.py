@@ -15,9 +15,9 @@ from drgq import graphs
 from drgq.catalogue import CATALOGUE
 from drgq.errors import DisconnectedGraphError, MathAssertionError
 from drgq.families import FamilySpec, complete_graph, cycle_graph, petersen_graph
-from drgq.graphs import (are_isomorphic, bfs_distances, bipartite_double, build_graph,
-                         connected_components, distance_data, induced_subgraph)
-from reference import adjacency_matrix, two_coloring
+from drgq.graphs import (are_isomorphic, bipartite_double, build_graph, connected_components,
+                         distance_data, induced_subgraph)
+from reference import adjacency_matrix, bfs_distances, two_coloring
 
 
 def relabelled(g, seed):
@@ -133,6 +133,15 @@ class TestDistanceData:
         # diameter 260: one byte per distance would wrap dist[0, 260] to 4
         with pytest.raises(ValueError, match="diameter is at least 260"):
             distance_data(cycle_graph(520))
+
+    def test_eccentricity_named_above_byte(self):
+        # a 400-vertex path with vertex 0 at position 50: the first source past
+        # 255 is 0, and its eccentricity, 349, is below the diameter, 399
+        order = list(range(1, 51)) + [0] + list(range(51, 400))
+        g = build_graph(400, zip(order, order[1:]))
+        assert bfs_distances(g, 0).max() == 349
+        with pytest.raises(ValueError, match=r"at least 349 \(vertex 0 has eccentricity 349\)"):
+            distance_data(g)
 
     def test_disconnected_rejected(self):
         g = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])

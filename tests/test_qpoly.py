@@ -7,6 +7,7 @@ column-blocked expansion are held to a dense reference sweep kept here,
 which sends every instance through M @ E_j on the dense projector.
 """
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgq import qpoly
-from drgq.catalogue import CATALOGUE
+from drgq.catalogue import CATALOGUE, build_bundle
 from drgq.errors import MathAssertionError, NumericalError
 from drgq.families import build_family
 from drgq.qpoly import (SAMPLE_INSTANCES, _ordering_for_candidate, balanced_set_check,
@@ -578,6 +579,28 @@ class TestOrderings:
         fake = SimpleNamespace(d=sd.d, dual=sd.dual[[2, 1, 0]])
         with pytest.raises(NumericalError, match="does not start"):
             _ordering_for_candidate(fake, 1)
+
+    def test_ambiguous_membership_raises(self, small):
+        # E_2 and E_3 sit a relative 1e-5 off the all-ones vector, so both
+        # are ambiguous at degree 0, and the error names the first
+        sd = small["hamming:4,2"].sd
+        dual = sd.dual.copy()
+        off = dual[1] - dual[1].mean()  # orthogonal to the all-ones vector
+        dual[2:4] = dual[0] + 1e-5 * off / np.linalg.norm(off)
+        fake = SimpleNamespace(d=sd.d, dual=dual)
+        with pytest.raises(NumericalError, match="idempotent 2 at degree 0 is ambiguous"):
+            _ordering_for_candidate(fake, 1)
+
+    # every cycle of length 7 or more is Q-polynomial, with d = n // 2; the
+    # monomials t^p lost their rank by degree 26, so d >= 26 needs the chain
+    @pytest.mark.parametrize("n", (80, 120, 160, 201, *sorted(
+        np.random.default_rng(21).choice(np.arange(7, 202), 4, replace=False).tolist())))
+    def test_long_cycles_match_krein(self, n):
+        sd = build_bundle(f"cycle:{n}").sd
+        span = qpoly_orderings(sd)
+        assert sorted(span) == sorted(krein_orderings(krein_parameters(sd)))
+        # E_j, j <= n / 2, is a Q-polynomial candidate exactly when gcd(j, n) = 1
+        assert len(span) == sum(math.gcd(j, n) == 1 for j in range(1, n)) // 2
 
     def test_orderings_start_at_zero(self, bundles):
         for b in bundles.values():

@@ -8,7 +8,8 @@ float after the BFS.  The full-sweep vertex limit has one owner,
 ``qpoly.FULL_MODE_LIMIT``, which connectivity does not read, and only the
 odd-graph census runs the connectivity label kernel.  The OR round over
 closed neighborhoods is written once, in ``graphs.flood``, and the
-regularity check sums fixed-width blocks without ``reduceat``.  A module
+regularity check sums fixed-width blocks without ``reduceat``.  An einsum of
+three or more operands follows an optimized contraction path.  A module
 imports only names it uses, and every ``Tolerances`` field is read by some
 check outside ``tolerances.py``.
 """
@@ -78,6 +79,18 @@ def test_regularity_check_calls_no_reduceat():
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "reduceat"]
     assert not found, f"reduceat in intersection.py at lines {found}"
+
+
+def test_multi_operand_einsum_is_optimized():
+    # without a contraction path, E_i E_j over the p-tensor costs O(d^5), not O(d^4)
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "einsum" and len(node.args) >= 4
+             and not any(kw.arg == "optimize" and isinstance(kw.value, ast.Constant)
+                         and kw.value.value is True for kw in node.keywords)]
+    assert not found, f"einsum of three or more operands without optimize=True: {', '.join(found)}"
 
 
 def test_connectivity_imports_nothing_from_qpoly():
