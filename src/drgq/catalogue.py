@@ -25,7 +25,7 @@ from .graphs import DistanceData, Graph, distance_data
 from .intersection import (ClassificationFlags, IntersectionData, NotDRG,
                            check_distance_regular, classify)
 from .qpoly import QPolyReport, qpoly_report
-from .spectral import SpectralData, compute_spectral_data, idempotent_products
+from .spectral import SpectralData, compute_spectral_data
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 CATALOGUE = (
@@ -211,14 +211,13 @@ def qpoly_consistency(b: Bundle) -> Claim:
 
 
 def idempotents(b: Bundle) -> Claim:
-    """Orthogonality E_i E_j = delta_ij E_i, completeness sum_j E_j = I and
-    E_0 = J/n, read in d+1 coordinates from the certified p-tensor: every
-    distance class is nonempty, so the largest coordinate of a difference
-    is its largest entry.  The traces are the multiplicities by construction."""
+    """Orthogonality E_i E_j = delta_ij E_i, from the residual the spectra
+    recorded, completeness sum_j E_j = I and E_0 = J/n, all in d+1 coordinates
+    (every distance class is nonempty, so the largest coordinate of a difference
+    is its largest entry).  The traces are the multiplicities by construction."""
     dual, n = b.sd.dual, b.ia.n
-    target = np.eye(b.ia.d + 1)[:, :, None] * dual[:, None, :] / n
     identity = np.eye(b.ia.d + 1)[0]
-    worst = max(float(np.abs(idempotent_products(dual, b.ia.p, n) - target).max()),
+    worst = max(b.sd.orthogonality_residual,
                 float(np.abs(dual.sum(axis=0) / n - identity).max()),
                 float(np.abs(dual[0] / n - 1.0 / n).max()))
     return Claim("idempotents", worst < IDEMPOTENT_BOUND,

@@ -31,6 +31,7 @@ from .errors import DisconnectedGraphError, MathAssertionError
 
 ISO_VERTEX_CAP = 64
 MAX_DISTANCE = 255  # distances are stored one byte per entry
+UNPACK_ENTRIES = 1 << 16  # level-mask entries the BFS unpacks at once, a row block
 
 
 @dataclass
@@ -132,7 +133,8 @@ def flood(g: Graph, reached: np.ndarray, inside: Optional[np.ndarray] = None):
     nxt, gathered = np.empty_like(reached), np.empty_like(reached)
     while True:
         for a, b, starts, members in chunks:
-            block = np.take(reached, members, axis=0, out=gathered[:len(members)])
+            # clip never acts on vertices; it spares the copy of out that mode="raise" makes
+            block = np.take(reached, members, axis=0, out=gathered[:len(members)], mode="clip")
             np.bitwise_or.reduceat(block, starts, axis=0, out=nxt[a:b])
         if inside is not None:
             nxt &= inside
@@ -159,9 +161,12 @@ def distance_data(g: Graph) -> DistanceData:
     v = np.arange(n)
     reached.view(np.uint8)[v, v // 8] = 0x80 >> (v % 8)  # np.packbits bit order
     dist, level, src = np.zeros((n, n), dtype=np.uint8), 0, None
+    rows = max(1, UNPACK_ENTRIES // n)
     for level, new in enumerate(flood(g, reached), 1):
         if level <= MAX_DISTANCE:
-            dist[np.unpackbits(new.view(np.uint8), axis=1, count=n).view(bool)] = level
+            for s in range(0, n, rows):  # unpack the level's mask one row block at a time,
+                packed = new[s:s + rows].view(np.uint8)  # inline, so each is freed at once
+                dist[s:s + rows][np.unpackbits(packed, axis=1, count=n).view(bool)] = level
             continue
         if src is None:  # the first source with a vertex beyond MAX_DISTANCE
             src = int(np.flatnonzero(new.any(axis=1))[0])

@@ -53,7 +53,8 @@ def available_memory() -> int:
 def distance_bytes(n: int, entries: int) -> int:
     """An upper bound on the peak bytes of the all-source BFS over
     ``entries`` closed-neighborhood entries (2m + n), term by term."""
-    return (2 * n * n                        # the uint8 distances, one unpacked level mask
+    return (n * n                            # the uint8 distances
+            + min(n * n, max(n, 1 << 16))    # a level mask's row block (graphs.UNPACK_ENTRIES)
             + 3 * 8 * n * -(-n // 64)        # packed reached, next round and gathered rows
             + 8 * (entries + 2 * n + 1)      # closed neighborhoods, offsets, chunk starts
             + 4 * 8 * n                      # the seed's index arrays
@@ -65,8 +66,8 @@ def analysis_bytes(n: int, d: int) -> int:
     """Peak bytes of the analysis after the BFS at diameter d: the one-byte
     distances, the balanced-set factor, the batch buffers and four int64 or
     float64 (d+1)^3 tensors, as many as are alive at once: the p-tensor
-    beside the balanced-set coefficients, the Krein tensor or the idempotent
-    products, each with its temporaries.  The regularity check's chunk
+    beside the idempotent products (formed by the spectra alone) or the
+    Krein tensor, with their temporaries.  The regularity check's chunk
     buffers (under 2 n^2 + 8 n^2 / (k + 1) bytes), the flood's four
     bit-packed n x n arrays (n^2 / 2 bytes in all) and the census's column
     blocks fit inside the factor's 8 n^2 term, distance classes and factors

@@ -21,17 +21,19 @@ another:
 
 The sweep checks the identity entrywise over all coordinates, which is
 strictly stronger than inner-product probes.  A batch of instances of one
-(i, j) cell becomes a signed mask matrix M.  Since lhs - rhs = V E_j with
-V = M - c (e_x - e_y)^T, the sweep first works in a rank-m_j factor F of
-E_j (F F^T = E_j up to a certified delta, from a pivoted Cholesky): each
-instance gets an upper bound on its residual from the m_j-vector V F, and
-only the instances that bound does not clear are expanded to n coordinates,
-reading E_j as dual[j][dist] / n a block of columns at a time, so the sweep
-forms no n x n float.  Residuals are normalized by max(lhs, rhs, 1/n) so
-verdicts do not depend on the global 1/n scaling of the idempotents.  Both
-modes visit the cells 1 <= i < j with p^h_ij > 0 in witness order (h, i, j,
-then x, y) and stop at the first failure, the smallest one; every witness
-and its residual are exact, and a positive worst residual is a certified bound.
+cell (h, i, j) becomes a signed mask matrix M, and the cell's coefficient
+c = p^h_ij (dual_i - dual_j) / (dual_0 - dual_h) is one scalar.  Since
+lhs - rhs = V E_j with V = M - c (e_x - e_y)^T, the sweep first works in a
+rank-m_j factor F of E_j (F F^T = E_j up to a certified delta, from a
+pivoted Cholesky): each instance gets an upper bound on its residual from
+the m_j-vector V F, and only the instances that bound does not clear are
+expanded to n coordinates, reading E_j as dual[j][dist] / n a block of
+columns at a time, so the sweep forms no n x n float and no (d+1)^3 tensor.
+Residuals are normalized by max(lhs, rhs, 1/n) so verdicts do not depend on
+the global 1/n scaling of the idempotents.  Both modes visit the cells
+1 <= i < j with p^h_ij > 0 in witness order (h, i, j, then x, y) and stop
+at the first failure, the smallest one; every witness and its residual are
+exact, and a positive worst residual is a certified bound.
 """
 
 from __future__ import annotations
@@ -93,14 +95,6 @@ def resolve_mode(n: int, mode: str) -> str:
     return mode
 
 
-def _coefficients(ia: IntersectionData, dual: np.ndarray) -> np.ndarray:
-    """coeff[h, i, j] = p^h_ij (dual_i - dual_j) / (dual_0 - dual_h), h >= 1."""
-    coeff = np.zeros(ia.p.shape)
-    diff = dual[:, None] - dual[None, :]
-    coeff[1:] = ia.p[1:] * diff / (dual[0] - dual[1:])[:, None, None]
-    return coeff
-
-
 def _cholesky(sd: SpectralData, j: int) -> np.ndarray:
     """F (n x m_j) with F F^T = E_j, by a pivoted Cholesky whose columns are
     gathered as dual[j][dist[p]] / n, so no n x n float is formed.
@@ -155,11 +149,11 @@ def _mask(xs, ys, i, j, dist, out):
     return np.subtract((dx == i) & (dy == j), (dx == j) & (dy == i), out=out, dtype=np.float64)
 
 
-def _residuals(xs, ys, i, j, column, dist, coeff, work):
-    """Relative residuals of the instances (xs[t], ys[t]) of cell (i, j), as one batch.
+def _residuals(xs, ys, i, j, column, dist, c, work):
+    """Relative residuals of a batch of instances (xs[t], ys[t]) of one block (h, i, j).
 
     Row t of M is the signed indicator of instance t's two mixed distance sets
-    (E is symmetric).  E_j is column[dist] with ``column`` = dual[j] / n, so
+    (E is symmetric), and c is the block's coefficient.  E_j is column[dist] with ``column`` = dual[j] / n, so
     M E_j is formed a block of BATCH_ENTRIES entries of E_j's columns at a
     time; each entry stays one dot product over all n terms, as in the dense
     product.  ``work`` holds three reused buffers for the t x n arrays.
@@ -174,38 +168,36 @@ def _residuals(xs, ys, i, j, column, dist, coeff, work):
     # copy of ``out`` that mode="raise" makes
     np.take(column, dist[xs], out=rhs, mode="clip")
     rhs -= np.take(column, dist[ys], out=m, mode="clip")
-    rhs *= coeff[dist[xs, ys], i, j][:, None]
+    rhs *= c
     scale = np.maximum(np.abs(lhs, out=m).max(axis=1), np.abs(rhs, out=m).max(axis=1))
     np.maximum(scale, 1.0 / n, out=scale)
     return np.abs(np.subtract(lhs, rhs, out=m), out=m).max(axis=1) / scale
 
 
-def _bounds(xs, ys, i, j, fac, dist, coeff, p, work):
+def _bounds(xs, ys, i, j, fac, dist, c, p, work):
     """Upper bounds on the relative residuals of the instances (xs[t], ys[t])
-    of cell (i, j), read in the factor.
+    of one block (h, i, j), with coefficient c and p = p^h_ij, read in the factor.
 
     With V_t = M_t - c (e_x - e_y)^T, lhs - rhs = V_t E_j, and entrywise
     |V_t E_j| <= ||V_t F||_2 rho + ||V_t||_1 delta.  Each mixed set has
-    p^h_ij members, so ||V_t||_1 <= 2 (p^h_ij + |c|), and the scale is at
+    p members, so ||V_t||_1 <= 2 (p + |c|), and the scale is at
     least 1/n.  The allowance g = (n + m + 8) eps covers the rounding of
     V_t F, of its norm, of delta and of the exact residual itself.
     """
     t, n = len(xs), dist.shape[0]
     f = fac.f
     g = (n + f.shape[1] + 8) * np.finfo(np.float64).eps
-    hs = dist[xs, ys]
-    c = coeff[hs, i, j]
     w = _mask(xs, ys, i, j, dist, work[0][:t * n].reshape(t, n)) @ f
     ends = f[xs]
     ends -= f[ys]
-    ends *= c[:, None]
+    ends *= c
     w -= ends
     slack = fac.delta + (np.sqrt(f.shape[1]) + 2) * g * (fac.rho ** 2 + fac.delta)
-    size = 2.0 * (p[hs, i, j] + np.abs(c))
+    size = 2.0 * (p + np.abs(c))
     return n * (1 + g) * (np.sqrt(np.einsum("tk,tk->t", w, w)) * fac.rho + size * slack)
 
 
-def _sweep(blocks, sd, candidate, coeff, p, rel_tol):
+def _sweep(blocks, sd, candidate, p, rel_tol):
     """Check blocks (h, i, j, xs, ys) of instances in witness order; stop at the first failure.
 
     Each batch is bounded in E_j's factor first; the instances whose bound
@@ -214,18 +206,19 @@ def _sweep(blocks, sd, candidate, coeff, p, rel_tol):
     the instances up to and including the witness, or over all of them when
     none fails.
     """
-    dist, n = sd.dist, sd.n
-    fac, column = _factor(sd, candidate), sd.dual[candidate] / n
+    dist, n, dual = sd.dist, sd.n, sd.dual[candidate]
+    fac, column = _factor(sd, candidate), dual / n
     work = np.empty((3, max(BATCH_ENTRIES, n)))
     size = max(1, BATCH_ENTRIES // n)
-    batches = ((h, i, j, xs[s:s + size], ys[s:s + size])
-               for h, i, j, xs, ys in blocks for s in range(0, len(xs), size))
+    batches = ((h, i, j, c, xs[s:s + size], ys[s:s + size]) for h, i, j, xs, ys in blocks
+               for c in (p[h, i, j] * (dual[i] - dual[j]) / (dual[0] - dual[h]),)  # per block
+               for s in range(0, len(xs), size))
     worst, checked, expanded, witness = 0.0, 0, 0, None
-    for h, i, j, bx, by in batches:
-        rel = _bounds(bx, by, i, j, fac, dist, coeff, p, work)
+    for h, i, j, c, bx, by in batches:
+        rel = _bounds(bx, by, i, j, fac, dist, c, p[h, i, j], work)
         unclear = np.flatnonzero(~(rel <= rel_tol))  # NaN never clears
         if unclear.size:
-            rel[unclear] = _residuals(bx[unclear], by[unclear], i, j, column, dist, coeff, work)
+            rel[unclear] = _residuals(bx[unclear], by[unclear], i, j, column, dist, c, work)
             expanded += unclear.size
         bad = np.flatnonzero(rel > rel_tol)
         t = int(bad[0]) if bad.size else rel.size - 1
@@ -267,7 +260,7 @@ def _instance_blocks(dist, p, mode, sample_size, seed):
             for h in range(d + 1)]
     if mode == "full":  # one level dist == h at a time
         levels = ((h, *np.nonzero(np.triu(dist == h))) for h in range(1, d + 1) if live[h])
-    elif sample_size > 0 and any(live):
+    elif any(live):  # else no pair prefix ever holds a live instance
         xs, ys = _sampled_pairs(dist, np.array([len(c) for c in live]), sample_size, seed)
         hs = dist[xs, ys]
         levels = ((h, xs[hs == h], ys[hs == h]) for h in range(1, d + 1) if live[h])
@@ -283,16 +276,18 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
     """Decide the balanced-set condition for one nontrivial idempotent.
 
     Full mode checks every live (h, i<j, x<y) instance, sampled mode those of
-    a seeded prefix of pairs holding at least ``sample_size`` of them; both
-    stop at the first failure in that order.  Duplicate dual values against index 0
-    short-circuit to a negative verdict (the condition's own precondition).
+    a seeded prefix of pairs holding at least ``sample_size`` >= 1 of them;
+    both stop at the first failure in that order.  Duplicate dual values
+    against index 0 short-circuit to a negative verdict (the condition's own
+    precondition).
     """
     if candidate == 0:
         raise ValueError("the trivial idempotent is not a Q-polynomial candidate")
     if not 1 <= candidate <= sd.d:
         raise IndexError(f"idempotent index {candidate} outside 1..{sd.d}")
-    d, n = sd.d, sd.n
-    dual = sd.dual[candidate]
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
+    d, n, dual = sd.d, sd.n, sd.dual[candidate]
     mode = resolve_mode(n, mode)
 
     snap = tol.dual_zero_snap * max(1.0, abs(dual[0]))
@@ -304,8 +299,7 @@ def balanced_set_check(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
 
     used_seed = None if mode == "full" else seed
     blocks = _instance_blocks(dd.dist, ia.p, mode, sample_size, seed)
-    worst, instances, witness = _sweep(blocks, sd, candidate, _coefficients(ia, dual), ia.p,
-                                       tol.balanced_rel)
+    worst, instances, witness = _sweep(blocks, sd, candidate, ia.p, tol.balanced_rel)
 
     verdict = witness is None
     if verdict and coincident:

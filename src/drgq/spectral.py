@@ -13,8 +13,9 @@ a check needs actual vectors.  Each E_j is certified once, in coordinates:
 its eigen residual ||A E_j - theta_j E_j|| from the p^h_1j the regularity
 check counted on every pair (coordinate d is the eigenvalue equation; the
 recurrence gives the others), and its idempotency residual ||E_j^2 - E_j||
-from the p-tensor.  As its trace is m_j and the m_j sum to n, that makes it
-the projector onto the theta_j-eigenspace.  The dense
+from the one product tensor E_i E_j, whose other entries give the
+orthogonality residual.  As its trace is m_j and the m_j sum to n, that
+makes it the projector onto the theta_j-eigenspace.  The dense
 ``inner_product_residual`` is kept as the acceptance battery's reference.
 """
 
@@ -104,6 +105,7 @@ class SpectralData:
     d: int
     eigen_residual: float            # max_j ||A E_j - theta_j E_j||_max
     idempotency_residual: float      # max_j ||E_j^2 - E_j||_max
+    orthogonality_residual: float    # max_ij ||E_i E_j - delta_ij E_i||_max
 
     def idempotent(self, j: int) -> np.ndarray:
         """The dense projector E_j = dual[j][dist] / n: the acceptance battery's
@@ -112,35 +114,33 @@ class SpectralData:
         return (self.dual[j] / self.n)[self.dist]
 
 
-def idempotent_products(dual: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
-    """E_i E_j in the basis of distance classes: entry [i, j, h] is its value
-    on the pairs at distance h, sum_ab dual[i,a] dual[j,b] p^h_ab / n^2."""
-    return np.einsum("ia,jb,hab->ijh", dual, dual, p, optimize=True) / (n * n)
-
-
 def compute_spectral_data(dd: DistanceData, ia: IntersectionData,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     """Spectrum, dual sequences from the recurrence, and the certificate of
     every assembled projector.
 
-    Both residuals are read in d+1 coordinates from the certified p-tensor,
+    Every residual is read in d+1 coordinates from the certified p-tensor,
     the eigen one from A A_h = sum_l p^l_1h A_l: every distance class is
     nonempty, so the largest coordinate of a difference is its largest
-    entry.  Raises NumericalError naming j when E_j's eigen residual or
-    idempotency residual exceeds the matrix tolerance.
+    entry.  E_i E_j, valued sum_ab dual[i,a] dual[j,b] p^h_ab / n^2 on the
+    pairs at distance h, is formed here only, less delta_ij E_i in place;
+    its diagonal gives the idempotency residual.  Raises NumericalError
+    naming j when E_j's eigen or idempotency residual exceeds the matrix
+    tolerance.
     """
-    eps = tol.matrix_eps(ia.k)
+    eps, n, diagonal = tol.matrix_eps(ia.k), ia.n, range(ia.d + 1)
     theta, mult = eigenvalues_from_intersection_array(ia)
     dual = np.array([m * standard_sequence(ia, float(t)) for t, m in zip(theta, mult)])
-    sd = SpectralData(theta, mult, dual, ia.sphere_sizes, dd.dist, ia.n, ia.d, 0.0, 0.0)
-    squares = np.diagonal(idempotent_products(dual, ia.p, ia.n)).T  # [j, h]: E_j^2
-    products = dual @ ia.p[:, 1, :].T / ia.n  # [j, l]: A E_j
-    for j, t in enumerate(theta):
-        eigen = float(np.abs(products[j] - t * dual[j] / ia.n).max())
-        idem = float(np.abs(squares[j] - dual[j] / ia.n).max())
-        for name, resid in (("eigen", eigen), ("idempotency", idem)):
+    orth = np.einsum("ia,jb,hab->ijh", dual, dual, ia.p, optimize=True)  # [i, j, h]: E_i E_j
+    orth /= n * n
+    orth[diagonal, diagonal] -= dual / n
+    np.abs(orth, out=orth)  # |E_i E_j - delta_ij E_i| on each distance class
+    products = dual @ ia.p[:, 1, :].T / n  # [j, l]: A E_j
+    eigen = np.abs(products - theta[:, None] * dual / n).max(axis=1)
+    idem = orth[diagonal, diagonal].max(axis=1)
+    for j in diagonal:
+        for name, resid in (("eigen", eigen[j]), ("idempotency", idem[j])):
             if resid > eps:
                 raise NumericalError(f"projector {j} {name} residual {resid:.3e} exceeds {eps:.3e}")
-        sd.eigen_residual = max(sd.eigen_residual, eigen)
-        sd.idempotency_residual = max(sd.idempotency_residual, idem)
-    return sd
+    return SpectralData(theta, mult, dual, ia.sphere_sizes, dd.dist, n, ia.d,
+                        float(eigen.max()), float(idem.max()), float(orth.max()))

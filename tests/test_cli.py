@@ -342,16 +342,22 @@ class TestMemoryPreflight:
 
     @pytest.mark.parametrize("spec", ("cycle:200", "cycle:400", "cycle:510"))
     def test_analysis_model_covers_tensor_peak(self, spec):
-        # at large diameter the (d+1)^3 tensors dominate: the p-tensor, the
-        # idempotent products, the balanced-set coefficients and the Krein tensor
+        # at large diameter the (d+1)^3 tensors dominate: the p-tensor beside
+        # the idempotent products or the Krein tensor.  Every claim but the
+        # two that run the Q-polynomial deciders (whose balanced sweeps form
+        # no such tensor and take seconds here) runs with them alive
         g = build_family(spec)
         dd = distance_data(g)
         tracemalloc.start()
         try:
             ia = check_distance_regular(g, dd)
             sd = compute_spectral_data(dd, ia)
-            qpoly._coefficients(ia, sd.dual[1])
             qpoly.krein_parameters(sd)
+            bundle = catalogue.Bundle(spec, None, g, dd, ia, classify(ia), sd,
+                                      DEFAULT_TOLERANCES, "auto", 0)
+            for name, claim in catalogue.CLAIMS.items():
+                if name not in catalogue.QPOLY_CLAIMS:
+                    claim(bundle)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

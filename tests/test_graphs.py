@@ -188,6 +188,17 @@ class TestDistanceData:
         assert (dd.dist == reference).all() and dd.diameter == reference.max()
         assert sum(dd.dist == h for h in range(dd.diameter + 1)).min() == 1
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("spec", ["odd:3", "johnson:7,3", "hamming:4,2"])
+    def test_level_mask_row_blocks(self, monkeypatch, spec, rows):
+        # each level is unpacked a row block at a time: 1 and 7 rows per block,
+        # where 7 leaves hamming:4,2 (n = 16) a short last block
+        g = FamilySpec.parse(spec).build()
+        monkeypatch.setattr(graphs, "UNPACK_ENTRIES", rows * g.n)
+        dd = distance_data(g)
+        reference = np.array([bfs_distances(g, src) for src in range(g.n)])
+        assert (dd.dist == reference).all() and dd.diameter == reference.max()
+
     def test_bfs_distances_beyond_int16(self):
         # a 16-bit distance wraps at 32768, and the wrapped negative value
         # reads as unvisited

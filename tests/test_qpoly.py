@@ -9,6 +9,7 @@ which sends every instance through M @ E_j on the dense projector.
 
 import math
 from dataclasses import replace
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,15 +73,31 @@ def brute_sides(b, e, x, y, i, j):
     return lhs, rhs
 
 
-def dense_residuals(xs, ys, i, j, e_mat, dist, coeff, work):
+def coefficient(b, e, h, i, j):
+    """p^h_ij (dual_i - dual_j) / (dual_0 - dual_h) for candidate e, from its
+    definition; h may be an array of levels, one per instance."""
+    dual = b.sd.dual[e]
+    return b.ia.p[h, i, j] * (dual[i] - dual[j]) / (dual[0] - dual[h])
+
+
+def levels_of(b, xs, ys):
+    """(h, xs, ys) for each level h = dist[x, y] among the instances, since
+    the sweep's kernels take one block (h, i, j) and its scalar coefficient."""
+    hs = b.dd.dist[xs, ys]
+    return [(int(h), xs[hs == h], ys[hs == h]) for h in np.unique(hs)]
+
+
+def dense_residuals(xs, ys, i, j, b, e, work):
     """The dense reference kernel: the relative residuals of one batch as
-    M @ E_j against the dense projector."""
+    M @ E_j against the dense projector, each instance's coefficient taken
+    from its definition with h = dist[x, y]."""
+    dist, e_mat = b.dd.dist, b.sd.idempotent(e)
     t, n = len(xs), dist.shape[0]
     m, lhs, rhs = (w[:t * n].reshape(t, n) for w in work)
     np.matmul(qpoly._mask(xs, ys, i, j, dist, m), e_mat, out=lhs)
     np.take(e_mat, xs, axis=0, out=rhs)
     rhs -= np.take(e_mat, ys, axis=0, out=m)
-    rhs *= coeff[dist[xs, ys], i, j][:, None]
+    rhs *= coefficient(b, e, dist[xs, ys], i, j)[:, None]
     scale = np.maximum(np.abs(lhs, out=m).max(axis=1), np.abs(rhs, out=m).max(axis=1))
     np.maximum(scale, 1.0 / n, out=scale)
     return np.abs(np.subtract(lhs, rhs, out=m), out=m).max(axis=1) / scale
@@ -96,15 +113,13 @@ def dense_sweep(b, e, mode, rel_tol, sample_size=SAMPLE_INSTANCES, seed=0):
     witness order, stopping at the first failure.  Returns (worst, instances,
     witness) as the production sweep does."""
     n, dist = b.graph.n, b.dd.dist
-    e_mat = b.sd.idempotent(e)
-    coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
     work = np.empty((3, max(qpoly.BATCH_ENTRIES, n)))
     size = max(1, qpoly.BATCH_ENTRIES // n)
     worst, checked = 0.0, 0
     for h, i, j, xs, ys in qpoly._instance_blocks(dist, b.ia.p, mode, sample_size, seed):
         for s in range(0, len(xs), size):
             bx, by = xs[s:s + size], ys[s:s + size]
-            rel = dense_residuals(bx, by, i, j, e_mat, dist, coeff, work)
+            rel = dense_residuals(bx, by, i, j, b, e, work)
             bad = np.flatnonzero(rel > rel_tol)
             t = int(bad[0]) if bad.size else rel.size - 1
             worst = max(worst, float(rel[:t + 1].max()))
@@ -243,6 +258,16 @@ class TestBalancedSet:
         assert again.seed == 0 and again.instances == 763
         assert runs[1].instances == 2001
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_empty_sample_refused(self, bundles, size):
+        # an empty sample would check nothing and pass; one instance already
+        # finds odd:4 E2's witness
+        b = bundles["odd:4"]
+        with pytest.raises(ValueError, match=f"sample_size must be at least 1, got {size}"):
+            balanced_set_check(b.dd, b.ia, b.sd, 2, mode="sampled", sample_size=size)
+        res = balanced_set_check(b.dd, b.ia, b.sd, 2, mode="sampled", sample_size=1)
+        assert not res.qpoly and res.witness[:5] == (3, 1, 2, 107, 79)
+
     def test_trivial_idempotent_rejected(self, small):
         b = small["petersen"]
         with pytest.raises(ValueError):
@@ -266,12 +291,12 @@ class TestBatchedKernel:
         ys = (xs + 1 + rng.integers(n - 1, size=60)) % n
         work = np.empty((3, max(qpoly.BATCH_ENTRIES, n)))
         for e in (1, 3):
-            coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
-            for i, j in ((0, 1), (1, 2), (1, 3), (2, 3)):
-                rest = (b.dd.dist, coeff, work)
-                for got in (qpoly._residuals(xs, ys, i, j, column_of(b, e), *rest),
-                            dense_residuals(xs, ys, i, j, b.sd.idempotent(e), *rest)):
-                    for x, y, rel in zip(xs, ys, got):
+            for (h, hx, hy), (i, j) in product(levels_of(b, xs, ys),
+                                               ((0, 1), (1, 2), (1, 3), (2, 3))):
+                c = coefficient(b, e, h, i, j)
+                for got in (qpoly._residuals(hx, hy, i, j, column_of(b, e), b.dd.dist, c, work),
+                            dense_residuals(hx, hy, i, j, b, e, work)):
+                    for x, y, rel in zip(hx, hy, got):
                         lhs, rhs = brute_sides(b, e, int(x), int(y), i, j)
                         scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1 / n)
                         assert abs(np.abs(lhs - rhs).max() / scale - rel) <= 1e-12
@@ -289,11 +314,11 @@ class TestBatchedKernel:
         for e in range(1, b.ia.d + 1):
             if guarded(b, e):
                 continue
-            coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
-            for i, j in cells_of(b):
-                got = qpoly._residuals(xs, ys, i, j, column_of(b, e), dist, coeff, work)
-                ref = dense_residuals(xs, ys, i, j, b.sd.idempotent(e), dist, coeff, work)
-                assert np.abs(got - ref).max() <= 1e-12, (e, i, j)
+            for (h, hx, hy), (i, j) in product(levels_of(b, xs, ys), cells_of(b)):
+                c = coefficient(b, e, h, i, j)
+                got = qpoly._residuals(hx, hy, i, j, column_of(b, e), dist, c, work)
+                ref = dense_residuals(hx, hy, i, j, b, e, work)
+                assert np.abs(got - ref).max() <= 1e-12, (e, h, i, j)
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("spec", ["odd:3", "hamming:3,3", "johnson:7,3"])
@@ -369,9 +394,7 @@ class TestBatchedKernel:
                 for h in range(1, b.ia.d + 1):
                     pairs = np.array([(x, y) for x in range(n) for y in range(n) if dist[x, y] == h])
                     blocks += [(h, i, j, pairs[:, 0], pairs[:, 1]) for i, j in live_cells(b, h)]
-                worst, _, witness = qpoly._sweep(blocks, b.sd, e,
-                                                 qpoly._coefficients(b.ia, b.sd.dual[e]),
-                                                 b.ia.p, b.tol.balanced_rel)
+                worst, _, witness = qpoly._sweep(blocks, b.sd, e, b.ia.p, b.tol.balanced_rel)
                 res = balanced_set_check(b.dd, b.ia, b.sd, e, mode="full")
                 assert res.qpoly == (witness is None)
                 assert (res.witness, res.worst_residual) == (witness, worst)
@@ -403,10 +426,10 @@ class TestBatchedKernel:
         assert b.ia.p[1, 0, 2] == 0
         cells = [(1, 0, 2)] + [(h, 0, h) for h in range(1, b.ia.d + 1)]
         for e in range(1, b.ia.d + 1):
-            coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
             for h, i, j in cells:
                 xs, ys = np.nonzero(b.dd.dist == h)
-                rel = qpoly._residuals(xs, ys, i, j, column_of(b, e), b.dd.dist, coeff, work)
+                rel = qpoly._residuals(xs, ys, i, j, column_of(b, e), b.dd.dist,
+                                       coefficient(b, e, h, i, j), work)
                 assert rel.size == len(xs) and not rel.any(), (e, h, i, j)
 
     def test_sampled_positive_checks_nominal_live_instances(self, bundles, monkeypatch):
@@ -450,12 +473,11 @@ class TestFactorKernel:
                 if guarded(b, e):
                     continue
                 fac = qpoly._factor(b.sd, e)
-                coeff = qpoly._coefficients(b.ia, b.sd.dual[e])
-                e_mat = b.sd.idempotent(e)
-                for i, j in cells_of(b):
-                    exact = dense_residuals(xs, ys, i, j, e_mat, dist, coeff, work)
-                    bound = qpoly._bounds(xs, ys, i, j, fac, dist, coeff, b.ia.p, work)
-                    assert np.all(bound >= exact), (b.name, e, i, j)
+                for (h, hx, hy), (i, j) in product(levels_of(b, xs, ys), cells_of(b)):
+                    exact = dense_residuals(hx, hy, i, j, b, e, work)
+                    bound = qpoly._bounds(hx, hy, i, j, fac, dist, coefficient(b, e, h, i, j),
+                                          b.ia.p[h, i, j], work)
+                    assert np.all(bound >= exact), (b.name, e, h, i, j)
                     passing += int((exact <= tol).sum())
                     failing += int((exact > tol).sum())
         assert passing and failing

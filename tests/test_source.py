@@ -9,7 +9,9 @@ float after the BFS.  The full-sweep vertex limit has one owner,
 odd-graph census runs the connectivity label kernel.  The OR round over
 closed neighborhoods is written once, in ``graphs.flood``, and the
 regularity check sums fixed-width blocks without ``reduceat``.  An einsum of
-three or more operands follows an optimized contraction path.  A module
+three or more operands follows an optimized contraction path, and only the
+two owners of the (d+1)^3 tensors write one: the spectra, which form E_i E_j,
+and the Krein oracle.  A module
 imports only names it uses, and every ``Tolerances`` field is read by some
 check outside ``tolerances.py``.
 """
@@ -91,6 +93,19 @@ def test_multi_operand_einsum_is_optimized():
              and not any(kw.arg == "optimize" and isinstance(kw.value, ast.Constant)
                          and kw.value.value is True for kw in node.keywords)]
     assert not found, f"einsum of three or more operands without optimize=True: {', '.join(found)}"
+
+
+def test_multi_operand_einsum_only_in_tensor_owners():
+    # E_i E_j is formed once, in the spectra, and q^h_ij in the Krein oracle
+    owners = {("spectral.py", "compute_spectral_data"), ("qpoly.py", "krein_parameters")}
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+             if (path.name, getattr(top, "name", None)) not in owners
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "einsum" and len(node.args) >= 4]
+    assert not found, f"einsum of three or more operands elsewhere: {', '.join(found)}"
 
 
 def test_connectivity_imports_nothing_from_qpoly():
