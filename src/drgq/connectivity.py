@@ -16,9 +16,11 @@ The odd-graph census needs component labels, counts, sizes and
 bipartitions, so it alone runs ``shell_labels``: for every base vertex of a
 block (``shell_blocks``) it alternates neighbor-minimum steps with pointer
 jumping (Shiloach-Vishkin style) until no label changes, so each shell
-component carries its smallest vertex, and it reads everything from one
-labelling of ``graphs.bipartite_double(g)``, certifying isomorphism at
-every base vertex up to ``ISO_SEARCH_VERTICES`` sphere vertices in all.  The
+component carries its smallest vertex, and it reads a block's counts from
+offset bincounts of one labelling of ``graphs.bipartite_double(g)``,
+certifying isomorphism with one ``graphs.isomorphic_components`` call per
+block, at every base vertex up to ``ISO_SEARCH_VERTICES`` sphere vertices
+in all.  The
 flood holds four bit-packed arrays of n^2 / 8 bytes each; the census's
 labels stay a few hundred KiB per block whatever n is.
 ``subconstituent`` and ``union_subconstituent`` build the per-vertex
@@ -36,8 +38,8 @@ import numpy as np
 from .errors import MathAssertionError
 # odd_graph is unused here, but the benchmark worker times it under this name
 from .families import odd_graph, subset_graph  # noqa: F401
-from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, are_isomorphic,
-                     bipartite_double, flood, induced_subgraph)
+from .graphs import (ISO_VERTEX_CAP, DistanceData, Graph, bipartite_double, flood,
+                     induced_subgraph, isomorphic_components)
 from .tolerances import DEFAULT_TOLERANCES
 
 log = logging.getLogger(__name__)
@@ -205,6 +207,14 @@ def _odd_core(r: int) -> Graph:
     return subset_graph(2 * r + 1, r, 0)
 
 
+def _column_counts(keys: np.ndarray, n: int) -> np.ndarray:
+    """Entry [k, c]: how many entries of column c of ``keys`` (values 0..n)
+    equal k < n, from one bincount of keys + c (n + 1)."""
+    cols = keys.shape[1]
+    flat = (keys + np.arange(cols) * (n + 1)).ravel()
+    return np.bincount(flat, minlength=cols * (n + 1)).reshape(cols, n + 1)[:, :n].T
+
+
 def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     """Census of the components of the d-th subconstituent of the odd graph
     g of order d = dd.diameter, at every base vertex.
@@ -215,12 +225,14 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     ``shell_blocks`` block on ``bipartite_double(g)``, the block's mask on
     both copies: a component C lifts to C+ and C-, or to X+ Y- and Y+ X-
     when bipartite with halves X and Y, so the smaller of v's two lifted
-    labels is min C (every + index is below every - index); C is bipartite
-    iff its root's two copies lie in different lifted components, and its
-    halves are equal iff the root's lift holds as many layer-0 as layer-1
-    vertices.  When components are at most ``ISO_VERTEX_CAP`` vertices, each
-    is certified isomorphic to the bipartite double of the order-r odd-graph
-    core: at every base vertex when n times the sphere size is at most
+    labels is min C (every + index is below every - index), and C is
+    bipartite with equal halves iff its root's lift holds exactly half of
+    C's layer-0 copies.  A block's sizes and halves come from one offset
+    bincount (``_column_counts``), and Python visits only the flagged base
+    vertices.  When components are at most ``ISO_VERTEX_CAP`` vertices,
+    each is certified isomorphic to the bipartite double of the order-r
+    odd-graph core, a block's components in one ``isomorphic_components``
+    call: at every base vertex when n times the sphere size is at most
     ``ISO_SEARCH_VERTICES``, otherwise at vertex 0.  The record reports vertex 0.
 
     Raises MathAssertionError naming the first failures.
@@ -239,7 +251,9 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     reference = bipartite_double(_odd_core(r)) if iso_possible else None
 
     vertex, nbr = np.arange(n), g.neighbor_array()
-    real = nbr != vertex[:, None]  # the padding repeats the row's own vertex
+    # the padding repeats the row's own vertex; degrees sum over neighbour columns
+    real = (nbr != vertex[:, None]).T[:, :, None].view(np.uint8)
+    degree_type = np.min_scalar_type(nbr.shape[1])
     lift_nbr = bipartite_double(g).neighbor_array()
     failures: list[str] = []
     iso_done = 0
@@ -247,44 +261,64 @@ def odd_component_census(g: Graph, dd: DistanceData) -> CensusRecord:
     for start, inside in shell_blocks(dd.dist, d, d):
         lifts = shell_labels(lift_nbr, np.vstack([inside, inside]))
         labels = np.minimum(np.minimum(lifts[:n], lifts[n:]), n)  # off the shell both are 2n
-        degrees = (inside[nbr] & real[:, :, None]).sum(axis=1)
-        for c in range(inside.shape[1]):
+        degrees = np.take(inside.view(np.uint8), nbr.T, axis=0)
+        degrees &= real
+        degrees = degrees.sum(axis=0, dtype=degree_type)
+        off_degree = inside & (degrees != expected_degree)
+        roots = labels == vertex[:, None]  # components by smallest vertex
+        sphere_sizes, counts = inside.sum(axis=0), roots.sum(axis=0)
+        # a root r = min C labels its own lift, which holds v+ iff v is in r's
+        # half, or for every v of C when C is not bipartite; counting
+        # 2 label + that gives C's size and what r's lift holds of it at once
+        split = _column_counts(2 * labels + (lifts[:n] == labels), 2 * n)
+        sizes = split[0::2] + split[1::2]
+        sized = ((sizes == expected_size) | ~roots).all(axis=0) & (counts > 0)
+        checked = (sphere_sizes == expected_sphere) & sized
+        halves = 2 * split[1::2] == sizes  # bipartite with equal halves
+        not_iso = np.zeros_like(roots)
+        covered = checked & (iso_every_vertex | (start + np.arange(inside.shape[1]) == 0))
+        if reference is not None and covered.any():
+            cols = np.flatnonzero(covered)
+            # covered vertices ordered by column, component and vertex, so row
+            # k of members is the k-th (column, root) in row-major order
+            col_of, members = np.nonzero(labels[:, cols].T < n)
+            key = labels[members, cols[col_of]] + col_of * (n + 1)
+            members = members[np.argsort(key, kind="stable")].reshape(-1, expected_size)
+            iso = isomorphic_components(g, members, reference)
+            iso_done += int(iso.sum())
+            comp_col, comp_root = np.nonzero(roots[:, cols].T)
+            not_iso[comp_root[~iso], cols[comp_col[~iso]]] = True
+        flagged = roots & (~halves | not_iso)
+        bad = ~checked | (counts != expected_count) | (flagged | off_degree).any(axis=0)
+        for c in np.flatnonzero(bad).tolist():
             gamma = start + c
-            sphere_size = int(inside[:, c].sum())
-            if sphere_size != expected_sphere:
-                failures.append(f"gamma={gamma}: sphere size {sphere_size} != {expected_sphere}")
+            if sphere_sizes[c] != expected_sphere:
+                failures.append(f"gamma={gamma}: sphere size {sphere_sizes[c]} != {expected_sphere}")
                 continue
-            comp = labels[:, c]
-            roots = np.flatnonzero(comp == vertex)  # components by smallest vertex
-            sizes = sorted(np.bincount(comp, minlength=n + 1)[roots].tolist())
-            if roots.size != expected_count:
+            if counts[c] != expected_count:
                 failures.append(
-                    f"gamma={gamma}: {roots.size} components, expected {expected_count}")
-            if set(sizes) != {expected_size}:
+                    f"gamma={gamma}: {counts[c]} components, expected {expected_count}")
+            if not sized[c]:
+                found = sorted(sizes[roots[:, c], c].tolist())
                 failures.append(
-                    f"gamma={gamma}: component sizes {sizes}, expected all {expected_size}")
+                    f"gamma={gamma}: component sizes {found}, expected all {expected_size}")
                 continue
-            off_degree = set(comp[inside[:, c] & (degrees[:, c] != expected_degree)].tolist())
-            lift = lifts[:, c]  # a root r = min C labels its own lift
-            layer0 = np.bincount(lift[:n], minlength=2 * n + 1)[roots]
-            layer1 = np.bincount(lift[n:], minlength=2 * n + 1)[roots]
-            halves = ((roots != lift[n + roots]) & (layer0 == layer1)).tolist()
-            for ci, root in enumerate(roots.tolist()):
-                if root in off_degree:
-                    found = sorted(set(degrees[comp == root, c].tolist()))
+            rank = np.cumsum(roots[:, c]) - 1
+            off_roots = set(labels[off_degree[:, c], c].tolist())
+            for root in sorted(off_roots.union(np.flatnonzero(flagged[:, c]).tolist())):
+                ci = rank[root]
+                if root in off_roots:
+                    found = sorted(set(degrees[labels[:, c] == root, c].tolist()))
                     failures.append(
                         f"gamma={gamma} component {ci}: degrees {found}, "
                         f"expected {expected_degree}-regular")
-                if not halves[ci]:
+                if not halves[root, c]:
                     failures.append(
                         f"gamma={gamma} component {ci}: not bipartite with equal halves")
-                if reference is not None and (iso_every_vertex or gamma == 0):
-                    comp_graph = induced_subgraph(g, np.flatnonzero(comp == root)).graph
-                    if are_isomorphic(comp_graph, reference)[0]:
-                        iso_done += 1
-                    else:
-                        failures.append(
-                            f"gamma={gamma} component {ci}: not isomorphic to the bipartite double")
+                if not_iso[root, c]:
+                    failures.append(
+                        f"gamma={gamma} component {ci}: not isomorphic to the bipartite double")
+        del lifts, labels, degrees, split, sizes  # freed before the next block's labelling
 
     if failures:
         raise MathAssertionError(

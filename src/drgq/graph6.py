@@ -9,6 +9,8 @@ header is accepted on input and available on output.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .graphs import Graph, build_graph
 
 HEADER = ">>graph6<<"
@@ -78,18 +80,14 @@ def read_graph6(line: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)} does not match n={n} (expected {need})")
-    bits = []
-    for v in _six_bits(body):
-        for s6 in (5, 4, 3, 2, 1, 0):
-            bits.append((v >> s6) & 1)
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return build_graph(n, edges)
+    codes = np.frombuffer(body.encode("utf-32-le"), dtype="<u4")  # one code point each
+    bad = np.flatnonzero((codes < 63) | (codes > 126))
+    if bad.size:
+        raise ValueError(f"invalid graph6 byte {body[bad[0]]!r}")
+    bits = np.unpackbits((codes - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    j, i = np.tril_indices(n, -1)  # (i, j), i < j, column by column: the body's bit order
+    present = bits[:j.size].view(bool)
+    return build_graph(n, zip(i[present].tolist(), j[present].tolist()))
 
 
 def load_graph6_file(path: str) -> list[Graph]:

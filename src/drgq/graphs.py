@@ -233,7 +233,10 @@ def bipartite_double(g: Graph) -> Graph:
 # backtracking along a breadth-first order of g, each vertex tried only at
 # the same-coloured neighbours of its anchor's image.  A colour means the
 # same in g and h, so an isomorphism preserves it.  Intended for small
-# components (census certification); refuses above the cap.
+# components (census certification); refuses above the cap.  The census
+# certifies a block's components at once with ``isomorphic_components``: the
+# same anchored search, without colours or backtracking, in lockstep over
+# all of them, with ``are_isomorphic`` deciding only where it dead-ends.
 # ---------------------------------------------------------------------------
 
 def _joint_colors(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
@@ -324,3 +327,98 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[list[int]]]:
                                      f"isomorphism")
         return True, list(perm)
     return False, None
+
+
+def _verify_mappings(local: np.ndarray, adj: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Per row of ``perm``, whether it is a bijection onto 0..s-1 that maps
+    every edge of its component (``local``, padded with s) to an edge of the
+    reference (``adj``, whose row and column s are empty): an isomorphism,
+    since the rows checked have the reference's degrees and so its edge count."""
+    comps, s = perm.shape
+    bijective = (np.sort(perm, axis=1) == np.arange(s)).all(axis=1)
+    ends = np.hstack([perm, np.full((comps, 1), s)])[np.arange(comps)[:, None, None], local]
+    return bijective & (adj[perm[:, :, None], ends] | (local == s)).all(axis=(1, 2))
+
+
+def isomorphic_components(g: Graph, members: np.ndarray, h: Graph) -> np.ndarray:
+    """Per row of ``members``, a (components, h.n) array of sorted vertex sets
+    of g, whether the subgraph of g it induces is isomorphic to h.
+
+    The rows are relabelled into (components x size x degree) neighbour
+    arrays, and are_isomorphic's anchored search runs on all of them in
+    lockstep: the root goes to h's vertex 0, and each later vertex of a
+    breadth-first order to the first feasible neighbour of its anchor's
+    image, with no backtracking.  Every map found is verified edge by edge.
+    A row whose sorted degrees differ from h's, or whose search dead-ends,
+    goes to are_isomorphic, which stays the complete decider.  Raises
+    ValueError above the vertex cap, as are_isomorphic does.
+    """
+    s = h.n
+    if s > ISO_VERTEX_CAP:
+        raise ValueError(f"isomorphism search refused above {ISO_VERTEX_CAP} vertices")
+    comps = members.shape[0]
+    # a member's neighbours by position in its row: the keys c n + v increase
+    # along the flattened rows, so one searchsorted finds them all
+    offset = np.arange(comps)[:, None, None]
+    keys = (members + offset[:, :, 0] * g.n).ravel()
+    query = g.neighbor_array()[members]
+    query += offset * g.n
+    local = np.searchsorted(keys, query)
+    np.minimum(local, keys.size - 1, out=local)
+    inner = keys[local] == query
+    del query
+    inner &= local != np.arange(keys.size).reshape(comps, s, 1)  # the padding is v itself
+    local -= offset * s
+    local[~inner] = s
+    local.sort(axis=2)  # each row's neighbours, then the padding s
+    hdeg = np.array(h.degrees())
+    width = max(1, int(hdeg.max()))
+    same = (np.sort(inner.sum(axis=2), axis=1) == np.sort(hdeg)).all(axis=1)
+    local = local[same, :, :width]
+    hnbr = np.full((s + 1, width), s)  # h's neighbours padded with s; row s is padding
+    adj = np.zeros((s + 1, s + 1), dtype=bool)
+    for t, nb in enumerate(h.neighbors):
+        hnbr[t, :len(nb)] = nb
+        adj[t, list(nb)] = True
+
+    # breadth-first orders and anchors, one vertex of every component per step
+    live = local.shape[0]
+    r, col = np.arange(live), np.arange(live)[:, None]
+    order, anchor = np.zeros((live, s), dtype=np.intp), np.zeros((live, s), dtype=np.intp)
+    seen = np.zeros((live, s + 1), dtype=bool)
+    seen[:, [0, s]] = True
+    tail = np.ones(live, dtype=np.intp)
+    for k in range(s):
+        u, nb = order[:, k], local[r, order[:, k]]
+        new = ~seen[col, nb]
+        rows = np.nonzero(new)[0]
+        order[rows, (tail[:, None] + np.cumsum(new, axis=1) - 1)[new]] = nb[new]
+        anchor[rows, nb[new]] = u[rows]
+        seen[rows, nb[new]] = True
+        tail += new.sum(axis=1)
+
+    perm = np.full((live, s + 1), -1)  # -1 unmapped; column s stays -1 for the padding
+    perm[:, 0] = 0
+    used = np.zeros((live, s + 1), dtype=bool)
+    used[:, 0] = True
+    alive = tail == s  # a disconnected row leaves its order short
+    for k in range(1, s):
+        v = order[:, k]
+        pool = hnbr[perm[r, anchor[r, v]]]  # an unmapped anchor reads the padding row
+        images = perm[col, local[r, v]]
+        fits = (pool < s) & ~used[col, pool]
+        fits &= (adj[pool[:, :, None], images[:, None, :]] | (images[:, None, :] < 0)).all(axis=2)
+        fits &= used[col[:, :, None], hnbr[pool]].sum(axis=2) == (images >= 0).sum(axis=1)[:, None]
+        alive &= fits.any(axis=1)
+        t = pool[r, fits.argmax(axis=1)]
+        perm[r, v] = t
+        used[r, t] = True
+    perm = perm[:, :s]
+    if not _verify_mappings(local[alive], adj, perm[alive]).all():
+        raise MathAssertionError("lockstep isomorphism search returned a map that is not an "
+                                 "isomorphism")
+    result = np.zeros(comps, dtype=bool)
+    result[np.flatnonzero(same)[alive]] = True
+    for c in np.flatnonzero(~result).tolist():
+        result[c] = are_isomorphic(induced_subgraph(g, members[c]).graph, h)[0]
+    return result

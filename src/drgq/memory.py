@@ -68,10 +68,15 @@ def analysis_bytes(n: int, d: int) -> int:
     float64 (d+1)^3 tensors, as many as are alive at once: the p-tensor
     beside the idempotent products (formed by the spectra alone) or the
     Krein tensor, with their temporaries.  The regularity check's chunk
-    buffers (under 2 n^2 + 8 n^2 / (k + 1) bytes), the flood's four
-    bit-packed n x n arrays (n^2 / 2 bytes in all) and the census's column
-    blocks fit inside the factor's 8 n^2 term, distance classes and factors
-    are formed one at a time, and no dense projector is formed."""
+    buffers (under 2 n^2 + 8 n^2 / (k + 1) bytes) and the flood's four
+    bit-packed n x n arrays (n^2 / 2 bytes in all) fit inside the factor's
+    8 n^2 term.  The census's column blocks are sized by
+    connectivity.BLOCK_ENTRIES, not n: its shell labels, offset counts and
+    the isomorphism certificate's (components x size x degree) neighbour
+    positions and search arrays peak near 2 MiB on odd:4 to odd:6, inside
+    the share of the batch buffers and the factor (BATCH_BUFFER_BYTES +
+    8 n^2), which the balanced-set sweep has freed.  Distance classes and
+    factors are formed one at a time, and no dense projector is formed."""
     return n * n * (1 + 8 * FLOAT_TEMPORARIES) + BATCH_BUFFER_BYTES + 4 * 8 * (d + 1) ** 3
 
 

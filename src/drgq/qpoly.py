@@ -146,7 +146,10 @@ def _factor(sd: SpectralData, j: int) -> Factor:
 def _mask(xs, ys, i, j, dist, out):
     """Row t: the signed indicator of instance t's two mixed distance sets."""
     dx, dy = dist[xs], dist[ys]
-    return np.subtract((dx == i) & (dy == j), (dx == j) & (dy == i), out=out, dtype=np.float64)
+    signed = ((dx == i) & (dy == j)).view(np.int8)
+    signed -= ((dx == j) & (dy == i)).view(np.int8)
+    np.copyto(out, signed)  # one cast; a bool-to-float64 subtract casts twice
+    return out
 
 
 def _residuals(xs, ys, i, j, column, dist, c, work):

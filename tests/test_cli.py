@@ -8,6 +8,7 @@ import pytest
 
 from drgq import catalogue, memory, qpoly
 from drgq.cli import main
+from drgq.connectivity import odd_component_census
 from drgq.families import build_family, cycle_graph, petersen_graph
 from drgq.graph6 import save_graph6_file, write_graph6
 from drgq.graphs import distance_data
@@ -339,6 +340,21 @@ class TestMemoryPreflight:
         finally:
             tracemalloc.stop()
         assert dd.dist.nbytes + peak <= memory.analysis_bytes(g.n, dd.diameter)
+
+    @pytest.mark.parametrize("spec", ("odd:4", "odd:5", "odd:6"))
+    def test_census_fits_its_share_of_the_analysis_model(self, spec):
+        # the census's column blocks and certificate arrays are sized by
+        # BLOCK_ENTRIES; analysis_bytes gives them the batch buffers' and the
+        # factor's share, which the balanced-set sweep has freed
+        g = build_family(spec)
+        dd = distance_data(g)
+        tracemalloc.start()
+        try:
+            odd_component_census(g, dd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= memory.BATCH_BUFFER_BYTES + 8 * g.n ** 2
 
     @pytest.mark.parametrize("spec", ("cycle:200", "cycle:400", "cycle:510"))
     def test_analysis_model_covers_tensor_peak(self, spec):

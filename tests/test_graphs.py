@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drgq import graphs
+from drgq import connectivity, graphs
 from drgq.catalogue import CATALOGUE
 from drgq.errors import DisconnectedGraphError, MathAssertionError
 from drgq.families import FamilySpec, complete_graph, cycle_graph, petersen_graph
 from drgq.graphs import (are_isomorphic, bipartite_double, build_graph, connected_components,
-                         distance_data, induced_subgraph)
+                         distance_data, induced_subgraph, isomorphic_components)
 from reference import adjacency_matrix, bfs_distances, two_coloring
 
 
@@ -89,6 +89,60 @@ def disconnected_graphs(draw, max_n=16):
     order = draw(st.permutations(range(a.n + b.n)))
     edges = [*a.edges(), *((a.n + u, a.n + v) for u, v in b.edges())]
     return build_graph(a.n + b.n, [(order[u], order[v]) for u, v in edges])
+
+
+@st.composite
+def relabelled_switches(draw, g):
+    """g under a drawn relabelling, then up to six degree-preserving switches
+    ab, cd -> ac, bd."""
+    relabel = draw(st.permutations(range(g.n)))
+    edges = {frozenset((relabel[u], relabel[v])) for u, v in g.edges()}
+    for _ in range(draw(st.integers(0, 6))):
+        if len(edges) < 2:
+            break
+        pairs = sorted(tuple(sorted(x)) for x in edges)
+        (a, b), (c, e) = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2,
+                                       unique=True))
+        if draw(st.booleans()):
+            c, e = e, c
+        new = {frozenset((a, c)), frozenset((b, e))}
+        if len({a, b, c, e}) == 4 and not new & edges:
+            edges -= {frozenset((a, b)), frozenset((c, e))}
+            edges |= new
+    return build_graph(g.n, [tuple(x) for x in edges])
+
+
+@st.composite
+def references_and_components(draw, max_n=10):
+    """A regular reference, a circulant C_n(S) after relabelling and switches,
+    and up to four relabelled and switched copies of it."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    steps = draw(st.sets(st.integers(1, n // 2), min_size=1))
+    circulant = build_graph(n, [(v, (v + s) % n) for v in range(n) for s in steps])
+    h = draw(relabelled_switches(circulant))
+    return h, draw(st.lists(relabelled_switches(h), min_size=1, max_size=4))
+
+
+def interleaved_union(parts):
+    """Graphs of one size on interleaved vertex sets (vertex u of part c
+    becomes u k + c for k parts), and those sets, one sorted row each: row c
+    induces part c with its labels kept."""
+    k, s = len(parts), parts[0].n
+    g = build_graph(k * s, [(u * k + c, v * k + c) for c, p in enumerate(parts)
+                            for u, v in p.edges()])
+    return g, np.arange(k * s).reshape(s, k).T
+
+
+# the triangular prism and a relabelling of it on which the lockstep search
+# dead-ends: it sends vertex 1, the partner of 0 across the matching, to a
+# triangle mate of 0, and then finds no image for vertex 3
+PRISM = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+PRISM_DEAD_END = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 5),
+                                 (4, 5)])
+# a relabelling the search certifies only with its reverse check, which
+# skips an image whose used neighbours are not all images of neighbours
+PRISM_STEERED = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (3, 5),
+                                (4, 5)])
 
 
 class TestBuildGraph:
@@ -410,25 +464,79 @@ class TestIsomorphism:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(arbitrary_graphs(max_n=10), st.data())
     def test_agrees_with_networkx_on_relabelled_switches(self, g, data):
-        # a random relabelling, then degree-preserving switches ab, cd -> ac, bd:
         # the degree sequence never tells the pair apart
-        relabel = data.draw(st.permutations(range(g.n)), label="relabel")
-        edges = {frozenset((relabel[u], relabel[v])) for u, v in g.edges()}
-        for _ in range(data.draw(st.integers(0, 6), label="switches")):
-            if len(edges) < 2:
-                break
-            pairs = sorted(tuple(sorted(x)) for x in edges)
-            (a, b), (c, e) = data.draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2,
-                                                unique=True))
-            if data.draw(st.booleans()):
-                c, e = e, c
-            new = {frozenset((a, c)), frozenset((b, e))}
-            if len({a, b, c, e}) == 4 and not new & edges:
-                edges -= {frozenset((a, b)), frozenset((c, e))}
-                edges |= new
-        h = build_graph(g.n, [tuple(x) for x in edges])
+        h = data.draw(relabelled_switches(g))
         assert sorted(g.degrees()) == sorted(h.degrees())
         ok, perm = are_isomorphic(g, h)
         assert ok == nx.is_isomorphic(to_nx(g), to_nx(h))
         if ok:
-            assert {frozenset((perm[u], perm[v])) for u, v in g.edges()} == edges
+            assert_witness(g, h, perm)
+
+
+class TestIsomorphicComponents:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(references_and_components())
+    @example((PRISM, [PRISM_DEAD_END, PRISM_STEERED, PRISM]))
+    def test_agrees_with_networkx_on_relabelled_switches(self, pair):
+        h, parts = pair
+        g, members = interleaved_union(parts)
+        expected = [nx.is_isomorphic(to_nx(p), to_nx(h)) for p in parts]
+        assert isomorphic_components(g, members, h).tolist() == expected
+
+    @staticmethod
+    def _hand_offs(monkeypatch):
+        """The graphs handed to are_isomorphic from now on, in call order."""
+        asked = []
+        monkeypatch.setattr(graphs, "are_isomorphic",
+                            lambda g, h: (asked.append(g), are_isomorphic(g, h))[1])
+        return asked
+
+    def test_dead_end_hands_off_to_are_isomorphic(self, monkeypatch):
+        asked = self._hand_offs(monkeypatch)
+        g, members = interleaved_union([PRISM, PRISM_DEAD_END, PRISM_STEERED])
+        assert isomorphic_components(g, members, PRISM).tolist() == [True] * 3
+        assert [x.neighbors for x in asked] == [PRISM_DEAD_END.neighbors]
+
+    def test_other_degrees_hand_off_to_are_isomorphic(self, monkeypatch):
+        # a path and a chorded hexagon have the hexagon's size but not its
+        # degrees (the chord's ends have more neighbours than its neighbour
+        # arrays hold); two triangles have its degrees, and the search from
+        # vertex 0 cannot reach them all
+        path = build_graph(6, [(v, v + 1) for v in range(5)])
+        chorded = build_graph(6, [*cycle_graph(6).edges(), (2, 5)])
+        two_triangles = two_cycles(3)
+        asked = self._hand_offs(monkeypatch)
+        g, members = interleaved_union([cycle_graph(6), path, chorded, two_triangles])
+        assert (isomorphic_components(g, members, cycle_graph(6)).tolist()
+                == [True, False, False, False])
+        assert ([x.neighbors for x in asked]
+                == [path.neighbors, chorded.neighbors, two_triangles.neighbors])
+
+    def test_census_components_need_no_hand_off(self, monkeypatch):
+        # odd:4's outer-sphere components against the census's reference, both
+        # labelled in subset order: no search dead-ends.  Against the doubled
+        # Petersen graph's own labelling, every one of them does.
+        g = FamilySpec.parse("odd:4").build()
+        dd = distance_data(g)
+        rows = []
+        for gamma in range(g.n):
+            sphere = dd.sphere(gamma, 4)
+            rows += [sphere[c] for c in connected_components(induced_subgraph(g, sphere).graph)]
+        asked = self._hand_offs(monkeypatch)
+        census_reference = bipartite_double(connectivity._odd_core(2))
+        assert isomorphic_components(g, np.array(rows), census_reference).all()
+        assert asked == []
+        assert isomorphic_components(g, np.array(rows[:6]),
+                                     bipartite_double(petersen_graph())).all()
+        assert len(asked) == 6
+
+    def test_failed_verification_raises(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_verify_mappings", lambda local, adj, perm: perm[:, 0] < 0)
+        g, members = interleaved_union([PRISM])
+        with pytest.raises(MathAssertionError, match="not an isomorphism"):
+            isomorphic_components(g, members, PRISM)
+
+    def test_cap_enforced(self):
+        big = cycle_graph(70)
+        with pytest.raises(ValueError, match="refused"):
+            isomorphic_components(big, np.arange(70)[None], big)
