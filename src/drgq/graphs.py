@@ -164,9 +164,11 @@ def distance_data(g: Graph) -> DistanceData:
     rows = max(1, UNPACK_ENTRIES // n)
     for level, new in enumerate(flood(g, reached), 1):
         if level <= MAX_DISTANCE:
-            for s in range(0, n, rows):  # unpack the level's mask one row block at a time,
-                packed = new[s:s + rows].view(np.uint8)  # inline, so each is freed at once
-                dist[s:s + rows][np.unpackbits(packed, axis=1, count=n).view(bool)] = level
+            for s in range(0, n, rows):  # unpack the level's mask one row block at a time
+                bits = np.unpackbits(new[s:s + rows].view(np.uint8), axis=1, count=n)
+                bits *= level  # a pair lies at one level, so OR writes that level
+                dist[s:s + rows] |= bits
+                del bits  # freed before the next block or flood round allocates
             continue
         if src is None:  # the first source with a vertex beyond MAX_DISTANCE
             src = int(np.flatnonzero(new.any(axis=1))[0])

@@ -29,6 +29,9 @@ pivoted Cholesky): each instance gets an upper bound on its residual from
 the m_j-vector V F, and only the instances that bound does not clear are
 expanded to n coordinates, reading E_j as dual[j][dist] / n a block of
 columns at a time, so the sweep forms no n x n float and no (d+1)^3 tensor.
+A batch expands its first unclear instance alone and the rest in one more
+call only when that one passes, so a negative whose witness is the first
+instance its bound leaves unclear expands that instance alone.
 Residuals are normalized by max(lhs, rhs, 1/n) so verdicts do not depend on
 the global 1/n scaling of the idempotents.  Both modes visit the cells
 1 <= i < j with p^h_ij > 0 in witness order (h, i, j, then x, y) and stop
@@ -38,6 +41,7 @@ exact, and a positive worst residual is a certified bound.
 
 from __future__ import annotations
 
+import contextvars
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -55,6 +59,9 @@ SAMPLE_INSTANCES = 10_000
 BATCH_ENTRIES = 1 << 16     # instances x n mask entries per kernel call
 
 log = logging.getLogger(__name__)
+
+# inside qpoly_report, a list holding the one pair draw its candidates share
+_shared_draw = contextvars.ContextVar("shared_draw", default=None)
 
 Witness = tuple[int, int, int, int, int, float]  # (h, i, j, x, y, residual)
 
@@ -159,16 +166,19 @@ def _residuals(xs, ys, i, j, column, dist, c, work):
     (E is symmetric), and c is the block's coefficient.  E_j is column[dist] with ``column`` = dual[j] / n, so
     M E_j is formed a block of BATCH_ENTRIES entries of E_j's columns at a
     time; each entry stays one dot product over all n terms, as in the dense
-    product.  ``work`` holds three reused buffers for the t x n arrays.
+    product.  ``work`` holds three reused buffers for the t x n arrays; the
+    third holds each column block of E_j before it holds the rhs.
     """
     t, n = len(xs), dist.shape[0]
     m, lhs, rhs = (w[:t * n].reshape(t, n) for w in work)
     _mask(xs, ys, i, j, dist, m)
     cols = max(1, BATCH_ENTRIES // n)
-    for s in range(0, n, cols):
-        lhs[:, s:s + cols] = m @ column[dist[:, s:s + cols]]
     # every distance indexes column, so clip never acts; it spares take the
     # copy of ``out`` that mode="raise" makes
+    for s in range(0, n, cols):
+        block = dist[:, s:s + cols]  # E_j's block, held in rhs's buffer until rhs is formed
+        e = np.take(column, block, out=work[2][:block.size].reshape(block.shape), mode="clip")
+        lhs[:, s:s + cols] = m @ e
     np.take(column, dist[xs], out=rhs, mode="clip")
     rhs -= np.take(column, dist[ys], out=m, mode="clip")
     rhs *= c
@@ -205,9 +215,11 @@ def _sweep(blocks, sd, candidate, p, rel_tol):
 
     Each batch is bounded in E_j's factor first; the instances whose bound
     does not clear ``rel_tol`` get their exact residuals from E_j's
-    coordinate vector dual[j] / n.  Returns (worst, instances, witness) over
-    the instances up to and including the witness, or over all of them when
-    none fails.
+    coordinate vector dual[j] / n, in witness order: the first alone, then
+    the rest in one call if it passed.  No instance is expanded twice, and
+    none after a failing first one.  Returns (worst, instances, witness)
+    over the instances up to and including the witness, or over all of them
+    when none fails.
     """
     dist, n, dual = sd.dist, sd.n, sd.dual[candidate]
     fac, column = _factor(sd, candidate), dual / n
@@ -220,9 +232,10 @@ def _sweep(blocks, sd, candidate, p, rel_tol):
     for h, i, j, c, bx, by in batches:
         rel = _bounds(bx, by, i, j, fac, dist, c, p[h, i, j], work)
         unclear = np.flatnonzero(~(rel <= rel_tol))  # NaN never clears
-        if unclear.size:
-            rel[unclear] = _residuals(bx[unclear], by[unclear], i, j, column, dist, c, work)
-            expanded += unclear.size
+        for part in (unclear[:1], unclear[1:]):  # expanded unless an earlier one failed
+            if part.size and not (rel[:part[0]] > rel_tol).any():
+                rel[part] = _residuals(bx[part], by[part], i, j, column, dist, c, work)
+                expanded += part.size
         bad = np.flatnonzero(rel > rel_tol)
         t = int(bad[0]) if bad.size else rel.size - 1
         worst = max(worst, float(rel[:t + 1].max()))
@@ -250,6 +263,17 @@ def _sampled_pairs(dist, per_pair, sample_size, seed):
     return xs[order], ys[order]
 
 
+def _drawn_pairs(dist, per_pair, sample_size, seed):
+    """_sampled_pairs, drawn once per qpoly_report: its candidates share the
+    graph, the sample size and the seed, so they share the draw."""
+    shared = _shared_draw.get()
+    if shared is None:
+        return _sampled_pairs(dist, per_pair, sample_size, seed)
+    if not shared:
+        shared.append(_sampled_pairs(dist, per_pair, sample_size, seed))
+    return shared[0]
+
+
 def _instance_blocks(dist, p, mode, sample_size, seed):
     """The instance blocks (h, i, j, xs, ys) of a resolved mode in witness
     order: per level h, each live cell 1 <= i < j with p^h_ij > 0 over the
@@ -264,7 +288,7 @@ def _instance_blocks(dist, p, mode, sample_size, seed):
     if mode == "full":  # one level dist == h at a time
         levels = ((h, *np.nonzero(np.triu(dist == h))) for h in range(1, d + 1) if live[h])
     elif any(live):  # else no pair prefix ever holds a live instance
-        xs, ys = _sampled_pairs(dist, np.array([len(c) for c in live]), sample_size, seed)
+        xs, ys = _drawn_pairs(dist, np.array([len(c) for c in live]), sample_size, seed)
         hs = dist[xs, ys]
         levels = ((h, xs[hs == h], ys[hs == h]) for h in range(1, d + 1) if live[h])
     else:
@@ -443,8 +467,12 @@ def qpoly_report(dd: DistanceData, ia: IntersectionData, sd: SpectralData,
                  mode: str = "auto", seed: int = 0,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> QPolyReport:
     """Run all three deciders and compare them idempotent by idempotent."""
-    balanced = {e: balanced_set_check(dd, ia, sd, e, mode=mode, seed=seed, tol=tol)
-                for e in range(1, sd.d + 1)}
+    token = _shared_draw.set([])
+    try:
+        balanced = {e: balanced_set_check(dd, ia, sd, e, mode=mode, seed=seed, tol=tol)
+                    for e in range(1, sd.d + 1)}
+    finally:
+        _shared_draw.reset(token)
     span = qpoly_orderings(sd)
     q = krein_parameters(sd, tol)
     krein = krein_orderings(q)

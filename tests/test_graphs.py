@@ -188,6 +188,13 @@ class TestDistanceData:
         with pytest.raises(ValueError, match="diameter is at least 260"):
             distance_data(cycle_graph(520))
 
+    def test_diameter_of_a_byte(self):
+        # diameter 255, the largest level one byte holds
+        g = cycle_graph(510)
+        dd = distance_data(g)
+        reference = np.array([bfs_distances(g, src) for src in range(g.n)])
+        assert dd.diameter == 255 and (dd.dist == reference).all()
+
     def test_eccentricity_named_above_byte(self):
         # a 400-vertex path with vertex 0 at position 50: the first source past
         # 255 is 0, and its eccentricity, 349, is below the diameter, 399

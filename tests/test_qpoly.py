@@ -432,6 +432,32 @@ class TestBatchedKernel:
                                        coefficient(b, e, h, i, j), work)
                 assert rel.size == len(xs) and not rel.any(), (e, h, i, j)
 
+    @pytest.mark.parametrize("spec, mode, witness", [("odd:4", "full", (3, 1, 2, 0, 46)),
+                                                     ("odd:5", "sampled", (3, 1, 2, 0, 207))])
+    def test_negatives_expand_only_their_witness(self, bundles, expansions, spec, mode, witness):
+        # the witness is the first instance its bound leaves unclear; expanding
+        # its whole batch at once took 520 (odd:4) and 141 (odd:5) instances
+        b = bundles[spec]
+        for e in range(1, b.ia.d):
+            expansions.clear()
+            res = balanced_set_check(b.dd, b.ia, b.sd, e, mode=mode)
+            assert not res.qpoly and res.witness[:5] == witness
+            assert res.instances == {"odd:4": 4726, "odd:5": 397}[spec]
+            assert expansions == [1]
+
+    @pytest.mark.parametrize("spec, unguarded", [("odd:5", 5), ("hamming:8,2", 4)])
+    def test_report_draws_one_sample(self, monkeypatch, spec, unguarded):
+        # the report's candidates share one pair draw; a candidate checked
+        # alone draws its own and reaches the same result
+        b = build_bundle(spec)
+        draws, draw = [], qpoly._sampled_pairs
+        monkeypatch.setattr(qpoly, "_sampled_pairs", lambda *args: draws.append(1) or draw(*args))
+        report = qpoly_report(b.dd, b.ia, b.sd)
+        assert len(draws) == 1 and report.balanced[1].mode == "sampled"
+        draws.clear()
+        alone = {e: balanced_set_check(b.dd, b.ia, b.sd, e) for e in report.balanced}
+        assert alone == report.balanced and len(draws) == unguarded
+
     def test_sampled_positive_checks_nominal_live_instances(self, bundles, monkeypatch):
         b = bundles["odd:5"]
         seen = []
