@@ -20,18 +20,25 @@ another:
   tridiagonal: each step has exactly one admissible next index, or none.
 
 The sweep checks the identity entrywise over all coordinates, which is
-strictly stronger than inner-product probes.  A batch of instances of one
+strictly stronger than inner-product probes.  Level one needs no vectors:
+for adjacent x, y the mixed sets are ball differences, so all level-one
+instances of a cell share one residual, which the d+1 coordinates bound
+with a rounding allowance.  Beyond that, a batch of instances of one
 cell (h, i, j) becomes a signed mask matrix M, and the cell's coefficient
 c = p^h_ij (dual_i - dual_j) / (dual_0 - dual_h) is one scalar.  Since
-lhs - rhs = V E_j with V = M - c (e_x - e_y)^T, the sweep first works in a
+lhs - rhs = V E_j with V = M - c (e_x - e_y)^T, the sweep works in a
 rank-m_j factor F of E_j (F F^T = E_j up to a certified delta, from a
 pivoted Cholesky): each instance gets an upper bound on its residual from
 the m_j-vector V F, and only the instances that bound does not clear are
 expanded to n coordinates, reading E_j as dual[j][dist] / n a block of
 columns at a time, so the sweep forms no n x n float and no (d+1)^3 tensor.
-A batch expands its first unclear instance alone and the rest in one more
-call only when that one passes, so a negative whose witness is the first
-instance its bound leaves unclear expands that instance alone.
+The factor is formed only for a candidate that survives past level one:
+the first instance that needs a bound is estimated from its member rows
+and, when the estimate does not clear, expanded first, so a negative whose
+witness comes right after level one forms no factor.  A batch expands its
+first unclear instance alone and the rest in one more call only when that
+one passes, so a negative whose witness is the first instance its bound
+leaves unclear expands that instance alone.
 Residuals are normalized by max(lhs, rhs, 1/n) so verdicts do not depend on
 the global 1/n scaling of the idempotents.  Both modes visit the cells
 1 <= i < j with p^h_ij > 0 in witness order (h, i, j, then x, y) and stop
@@ -115,13 +122,14 @@ def _cholesky(sd: SpectralData, j: int) -> np.ndarray:
     column = sd.dual[j] / n  # E_j's value on a pair at distance h
     f = np.zeros((n, m))
     rest = np.full(n, column[0])  # the Schur complement's diagonal
+    col = np.empty(n)
     for k in range(m):
         p = int(np.argmax(rest))
         pivot = float(rest[p])
         if not pivot > 0.5 / n:
             raise NumericalError(f"pivoted Cholesky of E_{j} stalled at rank {k} of {m} "
                                  f"(largest pivot {pivot:.3e})")
-        col = column[sd.dist[p]]
+        np.take(column, sd.dist[p], out=col, mode="clip")  # clip never acts, as in _residuals
         col -= f[:, :k] @ f[p, :k]
         col /= np.sqrt(pivot)
         f[:, k] = col
@@ -129,25 +137,31 @@ def _cholesky(sd: SpectralData, j: int) -> np.ndarray:
     return f
 
 
-def _certificate(f: np.ndarray, sd: SpectralData, j: int) -> float:
+def _certificate(f: np.ndarray, sd: SpectralData, j: int, work: np.ndarray) -> float:
     """delta = ||F F^T - E_j||_max, read over the upper triangle in row blocks
-    of BATCH_ENTRIES entries; NaN anywhere makes it NaN."""
+    of BATCH_ENTRIES entries, each formed in work[0] beside its gather of
+    E_j in work[1]; NaN anywhere makes it NaN."""
     n = sd.n
     column = sd.dual[j] / n
     rows = max(1, BATCH_ENTRIES // n)
     peaks = []
     for s in range(0, n, rows):
-        block = f[s:s + rows] @ f[s:].T
-        block -= column[sd.dist[s:s + rows, s:]]
+        shape = (min(rows, n - s), n - s)
+        block = np.matmul(f[s:s + rows], f[s:].T, out=work[0][:shape[0] * shape[1]].reshape(shape))
+        block -= np.take(column, sd.dist[s:s + rows, s:], mode="clip",
+                         out=work[1][:block.size].reshape(shape))
         peaks.append(np.abs(block, out=block).max())
     return float(np.max(peaks))
 
 
-def _factor(sd: SpectralData, j: int) -> Factor:
-    """E_j's pivoted Cholesky factor with its certificate."""
+def _factor(sd: SpectralData, j: int, work: Optional[np.ndarray] = None) -> Factor:
+    """E_j's pivoted Cholesky factor with its certificate, formed in the
+    sweep's ``work`` buffers (or two of the same size)."""
     f = _cholesky(sd, j)
     rho = float(np.sqrt(np.einsum("tk,tk->t", f, f).max()))
-    return Factor(f, _certificate(f, sd, j), rho)
+    if work is None:
+        work = np.empty((2, max(BATCH_ENTRIES, sd.n)))
+    return Factor(f, _certificate(f, sd, j, work), rho)
 
 
 def _mask(xs, ys, i, j, dist, out):
@@ -210,32 +224,105 @@ def _bounds(xs, ys, i, j, fac, dist, c, p, work):
     return n * (1 + g) * (np.sqrt(np.einsum("tk,tk->t", w, w)) * fac.rho + size * slack)
 
 
+def _level_one(sd, p, candidate):
+    """Entry i < d: an upper bound on the relative residual of every level-one
+    instance of cell (i, i+1), read in the d+1 coordinates.
+
+    For adjacent x, y the mixed sets are B_i(x) minus B_i(y) and back, so the
+    mask is 1_B_i(x) - 1_B_i(y), and entry w of lhs - rhs is
+    kappa[d(x, w)] - kappa[d(y, w)], with kappa = lam - c column and
+    lam[g] = sum over l <= i and h of p^g_lh column[h], the sum of E_j over
+    B_i(x) at a w with d(x, w) = g.  Over all edges, (d(x, w), d(y, w)) runs
+    over the pairs (a, b) with p^1_ab > 0, so the cell's instances share one
+    residual: max |kappa_a - kappa_b| over max(max |lam_a - lam_b|,
+    |c| max |column_a - column_b|, 1/n).  Numerator and scale are moved by
+    the allowance 2 g (p^1_i,i+1 + n + |c|) max |column|, g = (n + d + 8) eps,
+    which covers the rounding of lam (cumulative sums of (d+1)-term dot
+    products with weights summing to at most n) and of each entry _residuals
+    forms (a dot product of n terms, 2 p^1_i,i+1 of them nonzero); the factor
+    1 + g covers the divisions.  So the bound holds for the exact residual
+    and for the float one the expansion would give.  NaN makes it NaN.
+    """
+    d, n, dual = sd.d, sd.n, sd.dual[candidate]
+    column, cells = dual / n, np.arange(d)
+    c = p[1, cells, cells + 1] * (dual[cells] - dual[cells + 1]) / (dual[0] - dual[1])
+    lam = np.cumsum(np.einsum("glh,h->gl", p[:, :d], column), axis=1)  # lam[g, i], no copy of p
+    kappa = lam - np.outer(column, c)
+    a, b = np.nonzero(p[1])
+    num = np.abs(kappa[a] - kappa[b]).max(axis=0)
+    scale = np.maximum(np.abs(lam[a] - lam[b]).max(axis=0),
+                       np.abs(c) * np.abs(column[a] - column[b]).max())
+    g = (n + d + 8) * np.finfo(np.float64).eps
+    allowance = 2 * g * (p[1, cells, cells + 1] + n + np.abs(c)) * np.abs(column).max()
+    return (1 + g) * (num + allowance) / np.maximum(scale - allowance, 1.0 / n)
+
+
+def _hint(xs, ys, i, j, column, dist, c, work):
+    """The relative residual of the one instance (xs[0], ys[0]), summed over
+    its 2 p^h_ij member rows of E_j a row block at a time in ``work``: an
+    estimate in O(p^h_ij n) that decides whether the sweep expands the
+    instance before forming the factor, never a verdict."""
+    n = dist.shape[0]
+    row = _mask(xs, ys, i, j, dist, work[0][:n].reshape(1, n))[0]
+    members = np.flatnonzero(row)
+    signs, lhs = row[members], work[1][:n]
+    lhs[:] = 0.0
+    rows = max(1, BATCH_ENTRIES // n)
+    for s in range(0, members.size, rows):
+        block = dist[members[s:s + rows]]
+        lhs += signs[s:s + rows] @ np.take(column, block, mode="clip",
+                                           out=work[2][:block.size].reshape(block.shape))
+    rhs = c * (column[dist[xs[0]]] - column[dist[ys[0]]])
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1.0 / n)
+    return float(np.abs(lhs - rhs).max() / scale)
+
+
 def _sweep(blocks, sd, candidate, p, rel_tol):
     """Check blocks (h, i, j, xs, ys) of instances in witness order; stop at the first failure.
 
-    Each batch is bounded in E_j's factor first; the instances whose bound
-    does not clear ``rel_tol`` get their exact residuals from E_j's
-    coordinate vector dual[j] / n, in witness order: the first alone, then
-    the rest in one call if it passed.  No instance is expanded twice, and
-    none after a failing first one.  Returns (worst, instances, witness)
-    over the instances up to and including the witness, or over all of them
-    when none fails.
+    A level-one cell whose coordinate bound (_level_one) clears ``rel_tol``
+    passes whole.  Every other batch is bounded in E_j's factor first; the
+    instances whose bound does not clear get their exact residuals from
+    E_j's coordinate vector dual[j] / n, in witness order: the first alone,
+    then the rest in one call if it passed.  The factor is formed at the
+    first batch that needs bounds, and only once that batch's first
+    instance passes: when its member-row estimate (_hint) does not clear,
+    it is expanded first, and a failure there is the witness.  No instance
+    is expanded twice, and none after a failing first one.  Returns (worst,
+    instances, witness) over the instances up to and including the witness,
+    or over all of them when none fails.
     """
     dist, n, dual = sd.dist, sd.n, sd.dual[candidate]
-    fac, column = _factor(sd, candidate), dual / n
+    column, level_one = dual / n, _level_one(sd, p, candidate)
     work = np.empty((3, max(BATCH_ENTRIES, n)))
     size = max(1, BATCH_ENTRIES // n)
     batches = ((h, i, j, c, xs[s:s + size], ys[s:s + size]) for h, i, j, xs, ys in blocks
                for c in (p[h, i, j] * (dual[i] - dual[j]) / (dual[0] - dual[h]),)  # per block
                for s in range(0, len(xs), size))
-    worst, checked, expanded, witness = 0.0, 0, 0, None
+    fac, worst, checked, expanded, witness = None, 0.0, 0, 0, None
     for h, i, j, c, bx, by in batches:
-        rel = _bounds(bx, by, i, j, fac, dist, c, p[h, i, j], work)
-        unclear = np.flatnonzero(~(rel <= rel_tol))  # NaN never clears
-        for part in (unclear[:1], unclear[1:]):  # expanded unless an earlier one failed
-            if part.size and not (rel[:part[0]] > rel_tol).any():
-                rel[part] = _residuals(bx[part], by[part], i, j, column, dist, c, work)
-                expanded += part.size
+        if h == 1 and level_one[i] <= rel_tol:  # NaN never clears
+            worst, checked = max(worst, float(level_one[i])), checked + bx.size
+            continue
+        first = None  # instance 0's exact residual, when it was expanded before the factor
+        if fac is None:
+            if not _hint(bx[:1], by[:1], i, j, column, dist, c, work) <= rel_tol:
+                first = _residuals(bx[:1], by[:1], i, j, column, dist, c, work)
+                expanded += 1
+            if first is None or not first[0] > rel_tol:
+                fac = _factor(sd, candidate, work)
+        if fac is None:
+            rel = first
+        else:
+            rel = _bounds(bx, by, i, j, fac, dist, c, p[h, i, j], work)
+            unclear = np.flatnonzero(~(rel <= rel_tol))  # NaN never clears
+            for part in (unclear[:1], unclear[1:]):  # expanded unless an earlier one failed
+                if part.size and not (rel[:part[0]] > rel_tol).any():
+                    if first is not None and part[0] == 0:
+                        rel[0] = first[0]
+                        continue
+                    rel[part] = _residuals(bx[part], by[part], i, j, column, dist, c, work)
+                    expanded += part.size
         bad = np.flatnonzero(rel > rel_tol)
         t = int(bad[0]) if bad.size else rel.size - 1
         worst = max(worst, float(rel[:t + 1].max()))
@@ -243,8 +330,9 @@ def _sweep(blocks, sd, candidate, p, rel_tol):
         if bad.size:
             witness = (h, i, j, int(bx[t]), int(by[t]), float(rel[t]))
             break
-    log.debug("E_%d: factor delta %.2e; %d of %d instances expanded",
-              candidate, fac.delta, expanded, checked)
+    log.debug("E_%d: %s; %d of %d instances expanded", candidate,
+              "no factor built" if fac is None else f"factor delta {fac.delta:.2e}",
+              expanded, checked)
     return worst, checked, witness
 
 

@@ -2,9 +2,10 @@
 
 Brute-force re-computation from raw definitions backs every assertion that
 matters: instance sums are rebuilt from sphere intersections, never through
-the production sweep's vectorized path.  The sweep's factor kernel and its
-column-blocked expansion are held to a dense reference sweep kept here,
-which sends every instance through M @ E_j on the dense projector.
+the production sweep's vectorized path.  The sweep's level-one coordinate
+bound, its factor kernel and its column-blocked expansion are held to a
+dense reference sweep kept here, which sends every instance through
+M @ E_j on the dense projector.
 """
 
 import math
@@ -519,6 +520,7 @@ class TestFactorKernel:
                  for mode in ("full", "sampled") for e in range(1, b.ia.d + 1)]
         cholesky = qpoly._cholesky
         monkeypatch.setattr(qpoly, "_cholesky", lambda sd, j: corrupt(cholesky(sd, j)))
+        monkeypatch.setattr(qpoly, "_level_one", lambda sd, p, e: np.full(sd.d, np.nan))
         for e in range(1, b.ia.d + 1):
             assert qpoly._factor(b.sd, e).delta > 1e-8
         expansions.clear()
@@ -532,6 +534,29 @@ class TestFactorKernel:
             if ref.witness is not None:
                 assert got.witness[:5] == ref.witness[:5]
                 assert abs(got.witness[5] - ref.witness[5]) <= 1e-12
+
+    @pytest.mark.parametrize("spec", ["odd:3", "johnson:7,3", "hamming:4,2"])
+    def test_corrupted_factor_beside_level_one_certificate(self, bundles, monkeypatch,
+                                                           expansions, spec):
+        # the coordinate certificate carries level one; the corrupted factor
+        # clears nothing after it, so those instances are all expanded
+        b = bundles[spec]
+        clean = [balanced_set_check(b.dd, b.ia, b.sd, e, mode=mode, sample_size=500)
+                 for mode in ("full", "sampled") for e in range(1, b.ia.d + 1)]
+        cholesky = qpoly._cholesky
+        monkeypatch.setattr(qpoly, "_cholesky", lambda sd, j: cholesky(sd, j)[:, :-1])
+        expansions.clear()
+        runs = [balanced_set_check(b.dd, b.ia, b.sd, e, mode=mode, sample_size=500)
+                for mode in ("full", "sampled") for e in range(1, b.ia.d + 1)]
+        assert 0 < sum(expansions) < sum(r.instances for r in runs)
+        for ref, got in zip(clean, runs):
+            assert (got.qpoly, got.instances, got.mode) == (ref.qpoly, ref.instances, ref.mode)
+            assert (got.witness is None) == (ref.witness is None)
+            if ref.witness is not None:
+                assert got.witness[:5] == ref.witness[:5]
+                assert abs(got.witness[5] - ref.witness[5]) <= 1e-12
+            else:  # exact residuals where the clean run read bounds
+                assert got.worst_residual <= ref.worst_residual
 
     def test_stalled_factor_raises(self, small):
         # E_1 of the Petersen graph has rank 5; asking for 6 columns stalls
@@ -547,8 +572,89 @@ class TestFactorKernel:
         clean = balanced_set_check(b.dd, b.ia, b.sd, 3)
         cholesky = qpoly._cholesky
         monkeypatch.setattr(qpoly, "_cholesky", lambda sd, j: cholesky(sd, j) * np.nan)
+        monkeypatch.setattr(qpoly, "_level_one", lambda sd, p, e: np.full(sd.d, np.nan))
         res = balanced_set_check(b.dd, b.ia, b.sd, 3)
         assert res.qpoly and res.instances == clean.instances == sum(expansions)
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    return {spec: build_bundle(spec)
+            for spec in ("johnson:12,6", "hamming:8,2", "cycle:40", "johnson:10,3")}
+
+
+class TestLevelOneCertificate:
+    @pytest.mark.parametrize("spec, mode", [(spec, "full") for spec in CATALOGUE]
+                             + [("hamming:8,2", "full"), ("cycle:40", "full"),
+                                ("johnson:12,6", "sampled")])
+    def test_bound_covers_dense_residuals(self, bundles, ladder, spec, mode):
+        # johnson:12,6 has 16,632 edges; its level one is checked on the
+        # instances its (sampled) analysis visits
+        b = bundles[spec] if spec in bundles else ladder[spec]
+        n, dist, tol = b.graph.n, b.dd.dist, b.tol.balanced_rel
+        work = np.empty((3, max(qpoly.BATCH_ENTRIES, n)))
+        size = max(1, qpoly.BATCH_ENTRIES // n)
+        blocks = [(i, xs, ys) for h, i, j, xs, ys
+                  in qpoly._instance_blocks(dist, b.ia.p, mode, SAMPLE_INSTANCES, 0) if h == 1]
+        assert blocks
+        for e in range(1, b.ia.d + 1):
+            if guarded(b, e):
+                continue
+            bound = qpoly._level_one(b.sd, b.ia.p, e)
+            for i, xs, ys in blocks:
+                c = coefficient(b, e, 1, i, i + 1)
+                for s in range(0, len(xs), size):
+                    bx, by = xs[s:s + size], ys[s:s + size]
+                    exact = np.concatenate([
+                        dense_residuals(bx, by, i, i + 1, b, e, work),
+                        qpoly._residuals(bx, by, i, i + 1, column_of(b, e), dist, c, work)])
+                    assert np.all(bound[i] >= exact), (e, i, bound[i], exact.max())
+                # level one passes on every candidate here, so the bound clears
+                assert bound[i] <= tol, (e, i, bound[i])
+
+    def test_early_negatives_build_no_factor(self, ladder, monkeypatch, expansions, caplog):
+        # the witness is the first instance after level one, so it is
+        # expanded alone and no factor is formed; a positive forms one
+        builds, factor = [], qpoly._factor
+        monkeypatch.setattr(qpoly, "_factor", lambda *args: builds.append(1) or factor(*args))
+        pinned = {("johnson:12,6", 3): (231, (2, 1, 2, 2, 167)),
+                  ("johnson:12,6", 5): (231, (2, 1, 2, 2, 167)),
+                  ("johnson:10,3", 2): (2521, (2, 1, 2, 0, 15)),
+                  ("johnson:10,3", 3): (2521, (2, 1, 2, 0, 15)),
+                  ("johnson:12,6", 1): (10008, None),
+                  ("johnson:10,3", 1): (20160, None)}
+        caplog.set_level("DEBUG", logger="drgq.qpoly")
+        for (spec, e), (instances, witness) in pinned.items():
+            b = ladder[spec]
+            builds.clear()
+            expansions.clear()
+            res = balanced_set_check(b.dd, b.ia, b.sd, e)
+            assert res.instances == instances and res.qpoly == (witness is None)
+            if witness is None:
+                assert builds == [1] and expansions == []
+            else:
+                assert res.witness[:5] == witness and builds == [] and expansions == [1]
+                assert f"E_{e}: no factor built; 1 of {instances} instances expanded" in caplog.text
+
+    @pytest.mark.parametrize("level_one", [np.nan, 1.0], ids=["nan", "above_tolerance"])
+    @pytest.mark.parametrize("spec", ["petersen", "odd:3", "hamming:4,2", "johnson:7,3"])
+    def test_unclear_level_one_goes_through_factor(self, bundles, monkeypatch, spec, level_one):
+        b = bundles[spec]
+        monkeypatch.setattr(qpoly, "_level_one", lambda sd, p, e: np.full(sd.d, level_one))
+        levels, bounds = set(), qpoly._bounds
+
+        def spy(xs, ys, *rest):
+            levels.update(b.dd.dist[xs, ys].tolist())
+            return bounds(xs, ys, *rest)
+
+        monkeypatch.setattr(qpoly, "_bounds", spy)
+        for e in range(1, b.ia.d + 1):
+            if guarded(b, e):
+                continue
+            levels.clear()
+            res = balanced_set_check(b.dd, b.ia, b.sd, e, mode="full")
+            assert_matches_dense(res, dense_sweep(b, e, "full", b.tol.balanced_rel))
+            assert 1 in levels  # every witness here lies beyond level one
 
 
 class TestDenseEquivalence:

@@ -4,7 +4,7 @@ Verification must survive ``python -O``, which strips ``assert`` statements,
 so the package raises its documented errors instead of asserting.  The dense
 projector ``SpectralData.idempotent`` is the acceptance battery's reference
 only: the pipeline reads E_j from its d+1 coordinates and forms no n x n
-float after the BFS.  The full-sweep vertex limit has one owner,
+float after the BFS, and only the balanced-set sweep forms E_j's factor.  The full-sweep vertex limit has one owner,
 ``qpoly.FULL_MODE_LIMIT``, which connectivity does not read, and only the
 odd-graph census runs the connectivity label kernel.  The OR round over
 closed neighborhoods is written once, in ``graphs.flood``, and the
@@ -115,6 +115,19 @@ def test_connectivity_imports_nothing_from_qpoly():
              or (isinstance(node, (ast.Import, ast.ImportFrom))
                  and any(alias.name.endswith("qpoly") for alias in node.names))]
     assert not found, f"connectivity.py imports qpoly at lines {found}"
+
+
+def test_factor_formed_only_by_the_sweep():
+    # the sweep forms E_j's factor once an instance beyond level one passes;
+    # a second caller could form it eagerly again
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+             if (path.name, getattr(top, "name", None)) != ("qpoly.py", "_sweep")
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_factor"]
+    assert not found, f"_factor called outside qpoly._sweep: {', '.join(found)}"
 
 
 def test_dense_projector_only_in_spectral():
