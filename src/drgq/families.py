@@ -1,16 +1,18 @@
 """Deterministic constructors for the named graph families.
 
-Every constructor orders vertices by the lexicographic order of their
-natural names (subsets, words) and then works with integer indices only;
-a Graph keeps no names.  Same parameters always produce byte-identical
-adjacency.
+Vertices are k-subsets of a ground set (``subset_graph``: odd, Johnson,
+complete) or words of Z_q^d adjacent along a set of translations
+(``translation_graph``: Hamming, folded cube, cycle), in the lexicographic
+order of those names; a Graph keeps no names.  Only ``petersen_graph`` is an
+edge list.  Same parameters always produce byte-identical adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import comb
+from typing import Iterable
 
 import numpy as np
 
@@ -98,53 +100,44 @@ def johnson_graph(n: int, k: int) -> Graph:
     return subset_graph(n, k, k - 1)
 
 
+def translation_graph(q: int, d: int, steps: Iterable[int]) -> Graph:
+    """The words of Z_q^d in lexicographic order, so vertex v is v written in
+    base q, with v adjacent to v + s for each distinct nonzero step s (a word,
+    named by its index as a vertex is).  The steps must be closed under
+    negation, as every family's are, or the adjacency is not symmetric."""
+    n = q ** d
+    _check_size(n)
+    place = q ** np.arange(d - 1, -1, -1)  # digit weights, the first letter most significant
+    # letters in the narrowest unsigned type that holds the sum of two
+    words = (np.arange(n)[:, None] // place % q).astype(np.min_scalar_type(2 * q - 2))
+    step_words = words[sorted({s % n for s in steps} - {0})]
+    neighbors = np.empty((n, len(step_words)), dtype=np.int64)
+    for k, s in enumerate(step_words):  # one step at a time: no n x |S| x d array
+        neighbors[:, k] = (words + s) % q @ place
+    neighbors.sort(axis=1)
+    return Graph(n, tuple(map(tuple, neighbors.tolist())))
+
+
 def hamming_graph(d: int, q: int) -> Graph:
     """Words of length d over a q-letter alphabet, adjacent at Hamming distance 1."""
     if d < 1 or q < 2:
         raise FamilySpecError(f"hamming parameters need d >= 1 and q >= 2, got d={d}, q={q}")
-    _check_size(q ** d)
-    words = list(product(range(q), repeat=d))
-    index = {w: i for i, w in enumerate(words)}
-    edges = []
-    for i, w in enumerate(words):
-        for pos in range(d):
-            for a in range(w[pos] + 1, q):  # only "upward" changes, avoids duplicates
-                other = w[:pos] + (a,) + w[pos + 1:]
-                edges.append((i, index[other]))
-    return build_graph(len(words), edges)
+    return translation_graph(q, d, (a * q ** pos for pos in range(d) for a in range(1, q)))
 
 
 def folded_cube(n: int) -> Graph:
-    """The n-cube with antipodal vertices identified, for odd n >= 5.
-
-    One word per antipodal pair is kept (the one starting with 0); edges are
-    the Hamming-distance-1 pairs plus the distance-(n-1) pairs that fold onto
-    the removed copies.
-    """
+    """The n-cube with antipodal vertices identified, for odd n >= 5: the words
+    starting with 0, named by their last n-1 letters, adjacent along the unit steps
+    and the all-ones word (flipping the first letter, then complementing)."""
     if n < 5 or n % 2 == 0:
         raise FamilySpecError(f"folded cube dimension must be odd and >= 5, got {n}")
-    _check_size(2 ** (n - 1))
-    words = [w for w in product((0, 1), repeat=n) if w[0] == 0]
-    index = {w: i for i, w in enumerate(words)}
-    full = (1,) * n
-    edges = set()
-    for i, w in enumerate(words):
-        for pos in range(n):
-            other = w[:pos] + (1 - w[pos],) + w[pos + 1:]
-            if other[0] == 1:
-                other = tuple(f - c for f, c in zip(full, other))
-            j = index[other]
-            if i < j:
-                edges.add((i, j))
-    return build_graph(len(words), sorted(edges))
+    return translation_graph(2, n - 1, chain((1 << pos for pos in range(n - 1)), [(1 << (n - 1)) - 1]))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise FamilySpecError(f"cycle needs at least 3 vertices, got {n}")
-    _check_size(n)
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return build_graph(n, edges)
+    return translation_graph(n, 1, (1, -1))
 
 
 def complete_graph(n: int) -> Graph:

@@ -371,8 +371,11 @@ def _instance_blocks(dist, p, mode, sample_size, seed):
     mixed sets {x}, {y} and coefficient exactly 1.0, so both sides are Ex - Ey.
     Nor can (y, x), y > x: it negates (x, y)'s mask and rhs, so repeats its residual."""
     d = p.shape[0] - 1
-    live = [[(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1) if p[h, i, j]]
-            for h in range(d + 1)]
+    hs, i, j = np.nonzero(p[:, 1:, 1:])  # row-major, so grouped by h
+    upper = i < j
+    cells = list(zip((i[upper] + 1).tolist(), (j[upper] + 1).tolist()))
+    cuts = np.searchsorted(hs[upper], np.arange(d + 2)).tolist()
+    live = [cells[a:b] for a, b in zip(cuts, cuts[1:])]
     if mode == "full":  # one level dist == h at a time
         levels = ((h, *np.nonzero(np.triu(dist == h))) for h in range(1, d + 1) if live[h])
     elif any(live):  # else no pair prefix ever holds a live instance

@@ -1,10 +1,11 @@
 """Reference helpers the tests compare the package against: plain
 per-vertex graph code with no counterpart in the package's pipeline, and
 the older kernels the package replaced (the depth-first Krein ordering
-search, the pair-loop subset graph and the reduceat regularity check)."""
+search, the pair-loop subset graph, the word-loop Hamming, folded-cube and
+cycle constructors, and the reduceat regularity check)."""
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Union
 
 import numpy as np
@@ -120,6 +121,43 @@ def subset_graph_pairs(ground: int, k: int, meet: int) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if (masks[i] & masks[j]).bit_count() == meet]
     return build_graph(n, edges)
+
+
+def hamming_graph_words(d: int, q: int) -> Graph:
+    """Words of length d over a q-letter alphabet, adjacent at Hamming
+    distance 1, by changing each letter of each word upward."""
+    words = list(product(range(q), repeat=d))
+    index = {w: i for i, w in enumerate(words)}
+    edges = []
+    for i, w in enumerate(words):
+        for pos in range(d):
+            for a in range(w[pos] + 1, q):  # only "upward" changes, avoids duplicates
+                other = w[:pos] + (a,) + w[pos + 1:]
+                edges.append((i, index[other]))
+    return build_graph(len(words), edges)
+
+
+def folded_cube_words(n: int) -> Graph:
+    """The folded n-cube on the words starting with 0, by flipping each
+    letter and complementing a word that then starts with 1."""
+    words = [w for w in product((0, 1), repeat=n) if w[0] == 0]
+    index = {w: i for i, w in enumerate(words)}
+    full = (1,) * n
+    edges = set()
+    for i, w in enumerate(words):
+        for pos in range(n):
+            other = w[:pos] + (1 - w[pos],) + w[pos + 1:]
+            if other[0] == 1:
+                other = tuple(f - c for f, c in zip(full, other))
+            j = index[other]
+            if i < j:
+                edges.add((i, j))
+    return build_graph(len(words), sorted(edges))
+
+
+def cycle_graph_edges(n: int) -> Graph:
+    """The n-cycle from its edge list."""
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def regularity_reduceat(g: Graph, dd: DistanceData) -> Union[NotDRG, np.ndarray]:

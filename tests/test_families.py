@@ -11,7 +11,8 @@ from drgq.families import (FamilySpec, FamilySpecError, build_family,
                            petersen_graph)
 from drgq.graphs import are_isomorphic, distance_data
 from drgq.intersection import IntersectionData, check_distance_regular
-from reference import subset_graph_pairs
+from reference import (cycle_graph_edges, folded_cube_words, hamming_graph_words,
+                       subset_graph_pairs)
 
 
 def profile(g):
@@ -103,6 +104,21 @@ def test_subset_graph_matches_pair_loop(spec):
     assert fs.build() == subset_graph_pairs(*SUBSET_PARAMS[fs.kind](*fs.params))
 
 
+# every Hamming graph on at most 4,096 words, up to the 64-letter alphabet of
+# length 2 (the word loop builds K_q in q^2 steps, so longer alphabets are left out)
+TRANSLATION_SPECS = ([f"hamming:{d},{q}" for d in range(1, 13) for q in range(2, 65) if q ** d <= 4096]
+                     + [f"folded_cube:{n}" for n in range(5, 14, 2)]
+                     + [f"cycle:{n}" for n in (3, 4, 40, 201, 510)])
+WORD_LOOPS = {"hamming": hamming_graph_words, "folded_cube": folded_cube_words,
+              "cycle": cycle_graph_edges}
+
+
+@pytest.mark.parametrize("spec", TRANSLATION_SPECS)
+def test_translation_families_match_word_loops(spec):
+    fs = FamilySpec.parse(spec)
+    assert fs.build().neighbors == WORD_LOOPS[fs.kind](*fs.params).neighbors
+
+
 def test_folded_cube_labels_and_determinism():
     g1 = folded_cube(5)
     g2 = folded_cube(5)
@@ -131,6 +147,9 @@ def test_constructors_deterministic():
     (lambda: cycle_graph(2), "at least 3"),
     (lambda: complete_graph(1), "at least 2"),
     (lambda: odd_graph(11), "ceiling"),
+    (lambda: hamming_graph(40, 2), "ceiling"),
+    (lambda: folded_cube(41), "ceiling"),
+    (lambda: cycle_graph(10**12), "ceiling"),
 ])
 def test_parameter_validation(call, err):
     with pytest.raises(FamilySpecError, match=err):

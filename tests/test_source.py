@@ -11,7 +11,8 @@ closed neighborhoods is written once, in ``graphs.flood``, and the
 regularity check sums fixed-width blocks without ``reduceat``.  An einsum of
 three or more operands follows an optimized contraction path, and only the
 two owners of the (d+1)^3 tensors write one: the spectra, which form E_i E_j,
-and the Krein oracle.  A module
+and the Krein oracle.  Of the family constructors only ``petersen_graph``
+builds from an edge list; the others are subset or translation graphs.  A module
 imports only names it uses, and every ``Tolerances`` field is read by some
 check outside ``tolerances.py``.
 """
@@ -106,6 +107,18 @@ def test_multi_operand_einsum_only_in_tensor_owners():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "einsum" and len(node.args) >= 4]
     assert not found, f"einsum of three or more operands elsewhere: {', '.join(found)}"
+
+
+def test_only_petersen_builds_from_edges():
+    # the translation families share one array builder; an edge-list fork
+    # would bring back the per-word loops
+    tree = ast.parse((Path(drgq.__file__).parent / "families.py").read_text(encoding="utf-8"))
+    found = [node.lineno
+             for top in tree.body if getattr(top, "name", None) != "petersen_graph"
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_graph"]
+    assert not found, f"build_graph called outside families.petersen_graph at lines {found}"
 
 
 def test_connectivity_imports_nothing_from_qpoly():
