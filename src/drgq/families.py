@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import Graph, build_graph
+from .graphs import Graph, build_graph, from_sorted_pairs
 
 MAX_VERTICES = 100_000
 
@@ -77,13 +77,14 @@ def subset_graph(ground: int, k: int, meet: int) -> Graph:
     # products of 0/1 incidence rows count shared elements: at most ground, so exact in float32
     incidence = np.zeros((n, ground), dtype=np.float32)
     incidence[np.arange(n).repeat(k), list(chain.from_iterable(combinations(range(ground), k)))] = 1
-    neighbors = []
+    pairs = []
     rows = max(1, (1 << 16) // n)  # 2^16 products per block
     for a in range(0, n, rows):
         shared = incidence[a:a + rows] @ incidence.T
         np.fill_diagonal(shared[:, a:], -1)  # a subset is not its own neighbor
-        neighbors.extend(tuple(np.flatnonzero(row == meet).tolist()) for row in shared)
-    return Graph(n, tuple(neighbors))
+        u, v = np.nonzero(shared == meet)  # row-major, so sorted
+        pairs.append((u + a, v))
+    return from_sorted_pairs(n, *map(np.concatenate, zip(*pairs)))
 
 
 def odd_graph(d: int) -> Graph:
@@ -111,11 +112,11 @@ def translation_graph(q: int, d: int, steps: Iterable[int]) -> Graph:
     # letters in the narrowest unsigned type that holds the sum of two
     words = (np.arange(n)[:, None] // place % q).astype(np.min_scalar_type(2 * q - 2))
     step_words = words[sorted({s % n for s in steps} - {0})]
-    neighbors = np.empty((n, len(step_words)), dtype=np.int64)
+    ends = np.empty((n, len(step_words)), dtype=np.intp)
     for k, s in enumerate(step_words):  # one step at a time: no n x |S| x d array
-        neighbors[:, k] = (words + s) % q @ place
-    neighbors.sort(axis=1)
-    return Graph(n, tuple(map(tuple, neighbors.tolist())))
+        ends[:, k] = (words + s) % q @ place
+    ends.sort(axis=1)
+    return from_sorted_pairs(n, np.arange(n).repeat(len(step_words)), ends.ravel())
 
 
 def hamming_graph(d: int, q: int) -> Graph:

@@ -54,21 +54,11 @@ def _decode_size(s: str) -> tuple[int, int]:
 
 
 def write_graph6(g: Graph, header: bool = False) -> str:
-    n = g.n
-    bits = []
-    for j in range(1, n):
-        nbj = set(g.neighbors[j])
-        for i in range(j):
-            bits.append(1 if i in nbj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        b = 0
-        for bit in bits[k:k + 6]:
-            b = (b << 1) | bit
-        chars.append(chr(b + 63))
-    return (HEADER if header else "") + _encode_size(n) + "".join(chars)
+    i, j = np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices  # each adjacency pair
+    bits = np.zeros(-(-g.n * (g.n - 1) // 12) * 6, dtype=np.uint8)  # padded to whole bytes
+    bits[(j * (j - 1) // 2 + i)[i < j]] = 1  # bit (i, j) of the column-by-column order
+    codes = (bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63).astype(np.uint8)  # six bits a byte
+    return (HEADER if header else "") + _encode_size(g.n) + codes.tobytes().decode("ascii")
 
 
 def read_graph6(line: str) -> Graph:
@@ -85,9 +75,9 @@ def read_graph6(line: str) -> Graph:
     if bad.size:
         raise ValueError(f"invalid graph6 byte {body[bad[0]]!r}")
     bits = np.unpackbits((codes - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
-    j, i = np.tril_indices(n, -1)  # (i, j), i < j, column by column: the body's bit order
-    present = bits[:j.size].view(bool)
-    return build_graph(n, zip(i[present].tolist(), j[present].tolist()))
+    p = np.flatnonzero(bits[:n * (n - 1) // 2])  # bit j (j - 1) / 2 + i is the pair (i, j), i < j
+    j = np.searchsorted(np.arange(n) * np.arange(-1, n - 1) // 2, p, side="right") - 1
+    return build_graph(n, np.column_stack((p - j * (j - 1) // 2, j)))
 
 
 def load_graph6_file(path: str) -> list[Graph]:

@@ -1,7 +1,7 @@
 """Core graph representation and combinatorial primitives.
 
-Graphs are simple and undirected, with vertices 0..n-1 and adjacency kept
-as sorted neighbor tuples (the padded neighbor array is derived on demand).
+Graphs are simple and undirected, with vertices 0..n-1 and adjacency held
+once, as read-only sorted CSR rows that every stage reads in place.
 All-pairs distances come from one level-synchronous BFS run from every
 source at once: ``flood``, seeded with every vertex's own bit in a
 bit-packed n x n array, adds the pairs at distance L in round L, and its
@@ -18,10 +18,8 @@ anything of size n x n is allocated.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -34,61 +32,84 @@ MAX_DISTANCE = 255  # distances are stored one byte per entry
 UNPACK_ENTRIES = 1 << 16  # level-mask entries the BFS unpacks at once, a row block
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph on the vertices 0..n-1.
-
-    ``neighbors[v]`` is a sorted tuple of the vertices adjacent to ``v``.
-    """
+    """Immutable simple undirected graph on 0..n-1 in CSR form: ``neighbors(v)``
+    is the sorted row ``indices[indptr[v]:indptr[v + 1]]``; both arrays are read-only."""
 
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray   # n + 1 row offsets
+    indices: np.ndarray  # 2m neighbours, row by row
+
+    def __post_init__(self):
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return self.indices.size // 2
 
     def degrees(self) -> list[int]:
-        return [len(nb) for nb in self.neighbors]
+        return np.diff(self.indptr).tolist()
+
+    def neighbors(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def edges(self) -> Iterable[tuple[int, int]]:
-        for u in range(self.n):
-            for v in self.neighbors[u]:
-                if u < v:
-                    yield (u, v)
+        u, v = _rows(self), self.indices
+        return zip(u[u < v].tolist(), v[u < v].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors[u]
-        i = bisect_left(nb, v)  # neighbor tuples are sorted
-        return i < len(nb) and nb[i] == v
+        return v in self.neighbors(u)
 
     def neighbor_array(self) -> np.ndarray:
         """n x max(1, maximum degree) array of neighbors, each row padded with
         its own vertex; a kernel that takes a minimum or a union over a row
         is unchanged by the padding."""
-        width = max(1, max(self.degrees()))
+        degrees = np.diff(self.indptr)
+        width = max(1, int(degrees.max()))
+        if (degrees == width).all():
+            return self.indices.reshape(self.n, width)
         nbr = np.repeat(np.arange(self.n)[:, None], width, axis=1)
-        for v, nb in enumerate(self.neighbors):
-            nbr[v, :len(nb)] = nb
+        nbr[_rows(self), np.arange(self.indices.size) - np.repeat(self.indptr[:-1], degrees)] = self.indices
         return nbr
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge list, symmetrizing and deduplicating.
+def _rows(g: Graph) -> np.ndarray:
+    """The row, that is the vertex, of each entry of ``g.indices``."""
+    return np.repeat(np.arange(g.n), np.diff(g.indptr))
 
-    Raises ValueError on an out-of-range endpoint or a loop edge.
-    """
+
+def _lists(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours as a list, for the searches that walk rows in Python."""
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
+    return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def from_sorted_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The one constructor of the CSR form: the graph on 0..n-1 whose adjacency
+    pairs are (u[e], v[e]), both directions of every edge, sorted by u and then v."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=n))])
+    return Graph(n, indptr, np.asarray(v, dtype=np.intp))
+
+
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a Graph from (u, v) pairs, an iterable or an m x 2 integer array,
+    symmetrizing and deduplicating.  Raises ValueError naming the first edge,
+    in input order, with an endpoint outside 0..n-1 or both endpoints equal."""
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"loop edge ({u},{v}) is not allowed")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in adj))
+    pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges) or np.empty((0, 2), np.intp))
+    if pairs.dtype.kind not in "iu" or pairs.shape[1:] != (2,):
+        raise ValueError("edges must be (u, v) pairs of integer vertex indices")
+    u, v = pairs.T.astype(np.int64)
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    bad = np.flatnonzero(outside | (u == v))
+    if bad.size:
+        (a, b), e = pairs[bad[0]].tolist(), bad[0]
+        raise ValueError(f"edge ({a},{b}) has an endpoint outside 0..{n - 1}" if outside[e]
+                         else f"loop edge ({a},{b}) is not allowed")
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    return from_sorted_pairs(n, *np.divmod(keys[np.diff(keys, prepend=-1) != 0], n))  # each pair once
 
 
 @dataclass
@@ -111,12 +132,9 @@ def neighborhood_chunks(g: Graph) -> list[tuple[int, int, np.ndarray, np.ndarray
     """Closed neighborhoods (v, then its neighbors) as CSR row chunks
     (a, b, starts, members) of at most n entries each, so gathering an
     n-vector per entry costs (2m + n) n however the degrees are spread."""
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, g.neighbors), dtype=np.intp, count=g.n) + 1, out=indptr[1:])
-    nbrs = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp, count=int(indptr[-1]) - g.n)
-    indices = np.insert(nbrs, indptr[:-1] - np.arange(g.n), np.arange(g.n))  # v, then its neighbors
-    chunks = []
-    a = 0
+    indptr = g.indptr + np.arange(g.n + 1)
+    indices = np.insert(g.indices, g.indptr[:-1], np.arange(g.n))  # v, then its neighbors
+    chunks, a = [], 0
     while a < g.n:
         b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + g.n, side="right")) - 1)
         chunks.append((a, b, indptr[a:b] - indptr[a], indices[indptr[a]:indptr[b]]))
@@ -195,39 +213,33 @@ def induced_subgraph(g: Graph, vertex_set: Iterable[int]) -> InducedSubgraph:
         raise ValueError("cannot take the subgraph induced by an empty vertex set")
     if verts[0] < 0 or verts[-1] >= g.n:
         raise ValueError("vertex set contains indices outside the graph")
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = []
-    for v in verts:
-        nbrs.append(tuple(index[w] for w in g.neighbors[v] if w in index))
-    return InducedSubgraph(Graph(len(verts), tuple(nbrs)), tuple(verts))
+    index = np.full(g.n, -1)
+    index[verts] = np.arange(len(verts))  # increasing, so rows stay sorted
+    u, v = index[_rows(g)], index[g.indices]
+    inner = (u >= 0) & (v >= 0)
+    return InducedSubgraph(from_sorted_pairs(len(verts), u[inner], v[inner]), tuple(verts))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Maximal connected vertex sets, each sorted, ordered by smallest member."""
-    seen = bytearray(g.n)
-    comps: list[list[int]] = []
+    nbrs, seen, comps = _lists(g), bytearray(g.n), []
     for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        comps.append(comp)
+        if not seen[start]:
+            seen[start] = 1
+            comp = [start]
+            for u in comp:  # the list grows while it is walked: a breadth-first search
+                for w in nbrs[u]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        comp.append(w)
+            comps.append(sorted(comp))
     return comps
 
 
 def bipartite_double(g: Graph) -> Graph:
     """Two copies v+ (=v) and v- (=n+v); v+ is adjacent to w- iff v ~ w."""
-    n = g.n
-    return Graph(2 * n, tuple(tuple(n + w for w in nb) for nb in g.neighbors) + g.neighbors)
+    return Graph(2 * g.n, np.concatenate([g.indptr, g.indptr[1:] + g.indices.size]),
+                 np.concatenate([g.indices + g.n, g.indices]))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +255,8 @@ def bipartite_double(g: Graph) -> Graph:
 
 def _joint_colors(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
     """Stable colours of g and h, refined together from the degrees."""
-    colors = g.degrees() + h.degrees()
-    neighbors = g.neighbors + tuple(tuple(g.n + w for w in nb) for nb in h.neighbors)
+    neighbors = _lists(g) + [[g.n + w for w in nb] for nb in _lists(h)]
+    colors = [len(nb) for nb in neighbors]
     classes = len(set(colors))
     while True:
         signatures = [(colors[v], tuple(sorted(colors[w] for w in nb)))
@@ -257,13 +269,9 @@ def _joint_colors(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
 
 
 def _verify_mapping(g: Graph, h: Graph, perm: list[int]) -> bool:
-    if sorted(perm) != list(range(g.n)):
-        return False
-    for u in range(g.n):
-        mapped = sorted(perm[w] for w in g.neighbors[u])
-        if mapped != list(h.neighbors[perm[u]]):
-            return False
-    return True
+    p = np.array(perm)  # a bijection taking g's adjacency pairs onto h's, sorted as h's are
+    return sorted(perm) == list(range(g.n)) and np.array_equal(
+        np.sort(p[_rows(g)] * h.n + p[g.indices]), _rows(h) * h.n + h.indices)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[list[int]]]:
@@ -279,6 +287,8 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[list[int]]]:
     cg, ch = _joint_colors(g, h)
     if Counter(cg) != Counter(ch):
         return False, None
+    gl, hl = _lists(g), _lists(h)
+    hsets = [set(nb) for nb in hl]
     # g's vertices in breadth-first order, one component after another: each
     # but a component's first has an earlier neighbour, its anchor, and an
     # isomorphism maps it next to its anchor's image
@@ -289,15 +299,14 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[list[int]]]:
         if placed[root]:
             continue
         placed[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in g.neighbors[u]:
+        comp = [root]
+        for u in comp:  # grows while it is walked, as connected_components' does
+            for w in gl[u]:
                 if not placed[w]:
                     placed[w] = 1
                     anchor[w] = u
-                    queue.append(w)
+                    comp.append(w)
+        order += comp
 
     perm = [-1] * g.n
     used = bytearray(h.n)
@@ -306,14 +315,14 @@ def are_isomorphic(g: Graph, h: Graph) -> tuple[bool, Optional[list[int]]]:
         if pos == g.n:
             return True
         v = order[pos]
-        mapped = [perm[w] for w in g.neighbors[v] if perm[w] >= 0]
-        pool = range(h.n) if anchor[v] < 0 else h.neighbors[perm[anchor[v]]]
+        mapped = [perm[w] for w in gl[v] if perm[w] >= 0]
+        pool = range(h.n) if anchor[v] < 0 else hl[perm[anchor[v]]]
         for t in pool:
-            if used[t] or ch[t] != cg[v] or not all(h.has_edge(t, x) for x in mapped):
+            if used[t] or ch[t] != cg[v] or not all(x in hsets[t] for x in mapped):
                 continue
             # reverse direction: every used h-neighbor of t must be the image
             # of a g-neighbor of v; counting both sides enforces it
-            if sum(used[x] for x in h.neighbors[t]) != len(mapped):
+            if sum(used[x] for x in hl[t]) != len(mapped):
                 continue
             perm[v] = t
             used[t] = 1
@@ -373,15 +382,14 @@ def isomorphic_components(g: Graph, members: np.ndarray, h: Graph) -> np.ndarray
     local -= offset * s
     local[~inner] = s
     local.sort(axis=2)  # each row's neighbours, then the padding s
-    hdeg = np.array(h.degrees())
+    hdeg = np.diff(h.indptr)
     width = max(1, int(hdeg.max()))
     same = (np.sort(inner.sum(axis=2), axis=1) == np.sort(hdeg)).all(axis=1)
     local = local[same, :, :width]
-    hnbr = np.full((s + 1, width), s)  # h's neighbours padded with s; row s is padding
+    hnbr = np.vstack([h.neighbor_array(), np.full(width, s)])  # row s is padding
+    hnbr[hnbr == np.arange(s + 1)[:, None]] = s  # h's neighbours padded with s, not v
     adj = np.zeros((s + 1, s + 1), dtype=bool)
-    for t, nb in enumerate(h.neighbors):
-        hnbr[t, :len(nb)] = nb
-        adj[t, list(nb)] = True
+    adj[_rows(h), h.indices] = True
 
     # breadth-first orders and anchors, one vertex of every component per step
     live = local.shape[0]

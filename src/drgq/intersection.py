@@ -5,9 +5,9 @@ distance h, the numbers of neighbours of x at distance h-1, h and h+1 from
 y depend on h alone (Brouwer, Cohen and Neumaier, Distance-Regular Graphs,
 1989, 4.1).  So two exact counts per pair decide the check: the neighbours
 nearer to y and those farther, the level count being k less both.  An
-irregular graph fails on its degrees alone; in a k-regular one, each chunk
-of closed neighbourhoods is a fixed-width block summed over its k
-neighbours and tested against its classes' first pairs, with no n x n
+irregular graph fails on its degrees alone; in a k-regular one, the CSR
+rows are an n x k array read in place, each chunk of rows summed over its
+k neighbours and tested against its classes' first pairs, with no n x n
 count array.  On failure the witness names two same-distance pairs whose
 counts differ.  The p^h_ij tensor then follows by
 A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, in exact integers.
@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import MathAssertionError
-from .graphs import DistanceData, Graph, neighborhood_chunks
+from .graphs import DistanceData, Graph
 
 
 @dataclass
@@ -90,7 +90,7 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
     d, dist, n = dd.diameter, dd.dist, g.n
     if d == 0:
         raise ValueError("a single-vertex graph has no intersection data")
-    degrees = np.fromiter(map(len, g.neighbors), dtype=np.intp, count=n)
+    degrees = np.diff(g.indptr)
     k, x = int(degrees[0]), int(np.argmax(degrees != degrees[0]))
     if degrees[x] != k:  # the class-0 pair (x, x) sees deg(x) neighbours farther
         return NotDRG(0, 1, 1, (0, 0), k, (x, x), int(degrees[x]))
@@ -101,11 +101,11 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
     width = max(1, n // (k + 1))  # the rows of a chunk of at most n entries
     near, side = np.empty((width, k, n), dtype=dist.dtype), np.empty((width, k, n), dtype=bool)
     counts = np.empty((2, width, n), dtype=ref.dtype)
-    for a, b, _, members in neighborhood_chunks(g):
-        rows, cls = b - a, dist[a:b]
-        # every closed neighbourhood has k + 1 members, v first; every index
-        # taken is in range, so mode="clip" only spares take a buffered copy
-        np.take(dist, members.reshape(rows, k + 1)[:, 1:], axis=0, out=near[:rows], mode="clip")
+    nbr = g.indices.reshape(n, k)  # every row holds k neighbours
+    for a in range(0, n, width):
+        rows, cls = min(width, n - a), dist[a:a + width]
+        # every index taken is in range, so mode="clip" only spares take a buffered copy
+        np.take(dist, nbr[a:a + width], axis=0, out=near[:rows], mode="clip")
         for i, compare in enumerate((np.less, np.greater)):
             compare(near[:rows], cls[:, None], out=side[:rows])
             np.add.reduce(side[:rows].view(np.uint8), axis=1, dtype=ref.dtype, out=counts[i, :rows])
@@ -124,7 +124,7 @@ def check_distance_regular(g: Graph, dd: DistanceData) -> Union[IntersectionData
     if differs:
         h, j = min(differs)
         pair_a, pair_b = opener[h], differs[h, j]
-        count_a, count_b = (int(np.count_nonzero(dist[list(g.neighbors[x]), y] == j))
+        count_a, count_b = (int(np.count_nonzero(dist[g.neighbors(x), y] == j))
                             for x, y in (pair_a, pair_b))
         return NotDRG(h, 1, j, pair_a, count_a, pair_b, count_b)
     nearer, farther = ref.astype(np.int64)  # c_h and b_h

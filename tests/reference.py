@@ -16,11 +16,17 @@ from drgq.graphs import (DistanceData, Graph, build_graph, connected_components,
 from drgq.intersection import NotDRG
 
 
+def neighbor_lists(g: Graph) -> list[list[int]]:
+    """Each vertex's sorted neighbours as a list of ints, converted once."""
+    flat, ptr = g.indices.tolist(), g.indptr.tolist()
+    return [flat[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """The dense 0/1 adjacency matrix, read from the neighbor tuples."""
+    """The dense 0/1 adjacency matrix, read from the neighbor lists."""
     a = np.zeros((g.n, g.n), dtype=np.uint8)
-    for u in range(g.n):
-        a[u, g.neighbors[u]] = 1
+    for u, nb in enumerate(neighbor_lists(g)):
+        a[u, nb] = 1
     return a
 
 
@@ -29,7 +35,7 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     dist = np.full(g.n, -1, dtype=np.int32)
     dist[source] = 0
     queue = deque([source])
-    nb = g.neighbors
+    nb = neighbor_lists(g)
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
@@ -42,7 +48,7 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 
 def two_coloring(g: Graph) -> Optional[list[int]]:
     """A proper 2-coloring as a 0/1 list, or None when an odd cycle exists."""
-    color = [-1] * g.n
+    color, nb = [-1] * g.n, neighbor_lists(g)
     for start in range(g.n):
         if color[start] >= 0:
             continue
@@ -51,7 +57,7 @@ def two_coloring(g: Graph) -> Optional[list[int]]:
         while queue:
             u = queue.popleft()
             cu = color[u]
-            for w in g.neighbors[u]:
+            for w in nb[u]:
                 if color[w] < 0:
                     color[w] = 1 - cu
                     queue.append(w)

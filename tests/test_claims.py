@@ -136,7 +136,7 @@ def test_idempotents_claim_matches_dense_products(bundles, spec):
 
 
 def _relabel(g, perm):
-    return build_graph(g.n, [(perm[u], perm[v]) for u in range(g.n) for v in g.neighbors[u] if u < v])
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)

@@ -1,5 +1,6 @@
 """Family constructors: counts, degrees, diameters, determinism, regularity."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -12,7 +13,7 @@ from drgq.families import (FamilySpec, FamilySpecError, build_family,
 from drgq.graphs import are_isomorphic, distance_data
 from drgq.intersection import IntersectionData, check_distance_regular
 from reference import (cycle_graph_edges, folded_cube_words, hamming_graph_words,
-                       subset_graph_pairs)
+                       neighbor_lists, subset_graph_pairs)
 
 
 def profile(g):
@@ -80,9 +81,9 @@ def test_odd_outer_sphere_matches_johnson_mid_sphere():
         subsets = [set(s) for s in combinations(range(2 * d + 1), d)]
         assert odd.n == johnson.n == len(subsets)
         for i, a in enumerate(subsets):  # vertex i of both graphs is subsets[i]
-            assert odd.neighbors[i] == tuple(j for j, b in enumerate(subsets) if not a & b)
-            assert johnson.neighbors[i] == tuple(
-                j for j, b in enumerate(subsets) if len(a & b) == d - 1)
+            assert odd.neighbors(i).tolist() == [j for j, b in enumerate(subsets) if not a & b]
+            assert johnson.neighbors(i).tolist() == [
+                j for j, b in enumerate(subsets) if len(a & b) == d - 1]
         dd_odd = distance_data(odd)
         dd_johnson = distance_data(johnson)
         m = d // 2 if d % 2 == 0 else (d + 1) // 2
@@ -101,7 +102,8 @@ SUBSET_PARAMS = {"odd": lambda d: (2 * d + 1, d, 0), "johnson": lambda n, k: (n,
                          + ["complete:5", "johnson:12,6"])
 def test_subset_graph_matches_pair_loop(spec):
     fs = FamilySpec.parse(spec)
-    assert fs.build() == subset_graph_pairs(*SUBSET_PARAMS[fs.kind](*fs.params))
+    g, pairs = fs.build(), subset_graph_pairs(*SUBSET_PARAMS[fs.kind](*fs.params))
+    assert g.n == pairs.n and neighbor_lists(g) == neighbor_lists(pairs)
 
 
 # every Hamming graph on at most 4,096 words, up to the 64-letter alphabet of
@@ -116,25 +118,25 @@ WORD_LOOPS = {"hamming": hamming_graph_words, "folded_cube": folded_cube_words,
 @pytest.mark.parametrize("spec", TRANSLATION_SPECS)
 def test_translation_families_match_word_loops(spec):
     fs = FamilySpec.parse(spec)
-    assert fs.build().neighbors == WORD_LOOPS[fs.kind](*fs.params).neighbors
+    assert neighbor_lists(fs.build()) == neighbor_lists(WORD_LOOPS[fs.kind](*fs.params))
 
 
 def test_folded_cube_labels_and_determinism():
     g1 = folded_cube(5)
     g2 = folded_cube(5)
-    assert g1.neighbors == g2.neighbors
+    assert neighbor_lists(g1) == neighbor_lists(g2)
     # vertex i is the i-th word starting with 0, adjacent to the words at
     # Hamming distance 1 and to those whose complement is at distance 1
     words = [w for w in product((0, 1), repeat=5) if w[0] == 0]
     assert g1.n == len(words)
     for i, w in enumerate(words):
-        assert g1.neighbors[i] == tuple(
-            j for j, x in enumerate(words) if sum(a != b for a, b in zip(w, x)) in (1, 4))
+        assert g1.neighbors(i).tolist() == [
+            j for j, x in enumerate(words) if sum(a != b for a, b in zip(w, x)) in (1, 4)]
 
 
 def test_constructors_deterministic():
     for spec in ("odd:3", "johnson:6,3", "hamming:3,3", "petersen"):
-        assert build_family(spec).neighbors == build_family(spec).neighbors
+        assert neighbor_lists(build_family(spec)) == neighbor_lists(build_family(spec))
 
 
 @pytest.mark.parametrize("call,err", [
@@ -161,6 +163,19 @@ def test_parameter_validation(call, err):
 def test_translation_families_refuse_above_ceiling(call):
     with pytest.raises(FamilySpecError, match="ceiling"):
         call()
+
+
+def test_built_graph_holds_only_its_arrays():
+    # the CSR arrays are the only adjacency form; a second one, such as tuples of
+    # Python ints at about 43 bytes per entry, would hold five times as much
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = hamming_graph(16, 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.25 * (g.indptr.nbytes + g.indices.nbytes)
 
 
 class TestFamilySpec:

@@ -17,7 +17,7 @@ from drgq.errors import DisconnectedGraphError, MathAssertionError
 from drgq.families import FamilySpec, complete_graph, cycle_graph, petersen_graph
 from drgq.graphs import (are_isomorphic, bipartite_double, build_graph, connected_components,
                          distance_data, induced_subgraph, isomorphic_components)
-from reference import adjacency_matrix, bfs_distances, two_coloring
+from reference import adjacency_matrix, bfs_distances, neighbor_lists, two_coloring
 
 
 def relabelled(g, seed):
@@ -166,7 +166,63 @@ class TestBuildGraph:
     def test_deduplicated_and_symmetric(self):
         g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
-        assert g.neighbors[0] == (1,) and g.neighbors[1] == (0,)
+        assert g.neighbors(0).tolist() == [1] and g.neighbors(1).tolist() == [0]
+
+    # each message as the set-based builder worded it; the first bad edge in
+    # input order is named, whichever check it fails
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1), (2, 2), (0, 7)], "loop edge (2,2) is not allowed"),
+        ([(0, 1), (0, 7), (2, 2)], "edge (0,7) has an endpoint outside 0..2"),
+        ([(5, 5)], "edge (5,5) has an endpoint outside 0..2"),
+        ([(-1, 2)], "edge (-1,2) has an endpoint outside 0..2"),
+        ([(1, 2), (0, -3)], "edge (0,-3) has an endpoint outside 0..2"),
+        ([(3, 0)], "edge (3,0) has an endpoint outside 0..2"),
+    ])
+    def test_first_bad_edge_named(self, edges, message):
+        with pytest.raises(ValueError) as exc:
+            build_graph(3, edges)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_vertex_count_must_be_positive(self, n):
+        with pytest.raises(ValueError) as exc:
+            build_graph(n, [])
+        assert str(exc.value) == f"vertex count must be positive, got {n}"
+
+    @pytest.mark.parametrize("edges", [[(0.5, 1)], [(0, 1, 2)], [(0, 1), (1,)], [(2 ** 70, 1)]])
+    def test_non_pairs_rejected(self, edges):
+        with pytest.raises(ValueError):
+            build_graph(3, edges)
+
+    def test_iterables_and_arrays_accepted(self):
+        path = [(0, 1), (1, 2), (2, 3)]
+        assert list(build_graph(4, ((v, v + 1) for v in range(3))).edges()) == path
+        assert list(build_graph(4, np.array(path)).edges()) == path
+        cycle = build_graph(5, nx.cycle_graph(5).edges())  # a networkx EdgeView
+        assert list(cycle.edges()) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+
+    def test_single_vertex(self):
+        g = build_graph(1, [])
+        assert (g.n, g.num_edges, g.degrees(), list(g.edges())) == (1, 0, [0], [])
+
+
+class TestGraphForm:
+    def test_arrays_read_only(self):
+        g = petersen_graph()
+        for arr in (g.indptr, g.indices, g.neighbors(0), g.neighbor_array()):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_accessor_types(self):
+        g = build_graph(4, [(2, 0), (0, 1), (1, 2), (0, 3)])
+        assert g.degrees() == [3, 2, 2, 1] and all(type(k) is int for k in g.degrees())
+        assert type(g.num_edges) is int and g.num_edges == 4
+        edges = list(g.edges())
+        assert edges == [(0, 1), (0, 2), (0, 3), (1, 2)]
+        assert all(type(x) is int for e in edges for x in e)
+        assert g.has_edge(2, 1) is True and g.has_edge(3, 1) is False
+        assert g.neighbors(0).tolist() == [1, 2, 3]
+        assert g.neighbor_array().tolist() == [[1, 2, 3], [0, 2, 1], [0, 1, 2], [0, 3, 3]]
 
 
 class TestDistanceData:
@@ -380,7 +436,8 @@ class TestBipartiteDouble:
         n = g.n
         rule = [e for v, w in g.edges() for e in ((v, n + w), (n + v, w))]
         dbl = bipartite_double(g)
-        assert dbl == build_graph(2 * n, rule)
+        ruled = build_graph(2 * n, rule)
+        assert dbl.n == ruled.n and neighbor_lists(dbl) == neighbor_lists(ruled)
         assert dbl.n == 2 * g.n
         assert dbl.num_edges == 2 * g.num_edges
         assert two_coloring(dbl) is not None
@@ -502,7 +559,7 @@ class TestIsomorphicComponents:
         asked = self._hand_offs(monkeypatch)
         g, members = interleaved_union([PRISM, PRISM_DEAD_END, PRISM_STEERED])
         assert isomorphic_components(g, members, PRISM).tolist() == [True] * 3
-        assert [x.neighbors for x in asked] == [PRISM_DEAD_END.neighbors]
+        assert [neighbor_lists(x) for x in asked] == [neighbor_lists(PRISM_DEAD_END)]
 
     def test_other_degrees_hand_off_to_are_isomorphic(self, monkeypatch):
         # a path and a chorded hexagon have the hexagon's size but not its
@@ -516,8 +573,8 @@ class TestIsomorphicComponents:
         g, members = interleaved_union([cycle_graph(6), path, chorded, two_triangles])
         assert (isomorphic_components(g, members, cycle_graph(6)).tolist()
                 == [True, False, False, False])
-        assert ([x.neighbors for x in asked]
-                == [path.neighbors, chorded.neighbors, two_triangles.neighbors])
+        assert ([neighbor_lists(x) for x in asked]
+                == [neighbor_lists(path), neighbor_lists(chorded), neighbor_lists(two_triangles)])
 
     def test_census_components_need_no_hand_off(self, monkeypatch):
         # odd:4's outer-sphere components against the census's reference, both

@@ -82,7 +82,7 @@ class TestCheckDistanceRegular:
 
 def edge_switched(g, rnd, switches):
     """g after ``switches`` degree-preserving swaps {a,b},{c,e} -> {a,e},{c,b}."""
-    edges = {(u, v) for u in range(g.n) for v in g.neighbors[u] if u < v}
+    edges = set(g.edges())
     for _ in range(switches):
         (a, b), (c, e) = rnd.sample(sorted(edges), 2)
         if len({a, b, c, e}) < 4 or (min(a, e), max(a, e)) in edges \
@@ -278,7 +278,7 @@ class TestIntersectionData:
         for spec in ("petersen", "odd:3", "hamming:3,2"):
             g = build_family(spec)
             _, ia = analyze(g)
-            assert ia.intersection_number(0, 1, 1) == ia.k == len(g.neighbors[0])
+            assert ia.intersection_number(0, 1, 1) == ia.k == len(g.neighbors(0))
 
     def test_triangle_violations_vanish(self):
         _, ia = analyze(odd_graph(3))
@@ -327,7 +327,7 @@ def reference_flags(g, dd):
     """Bipartite by the parity 2-colouring from vertex 0; antipodal when the
     relation 'equal or at distance d' is transitive."""
     parity = dd.dist[0] % 2
-    bipartite = all(parity[u] != parity[v] for u in range(g.n) for v in g.neighbors[u])
+    bipartite = all(parity[u] != parity[v] for u, v in g.edges())
     rel = ((dd.dist == 0) | (dd.dist == dd.diameter)).astype(np.int64)
     antipodal = bool(((rel @ rel > 0) <= (rel > 0)).all())
     return bipartite, antipodal

@@ -12,7 +12,9 @@ regularity check sums fixed-width blocks without ``reduceat``.  An einsum of
 three or more operands follows an optimized contraction path, and only the
 two owners of the (d+1)^3 tensors write one: the spectra, which form E_i E_j,
 and the Krein oracle.  Of the family constructors only ``petersen_graph``
-builds from an edge list; the others are subset or translation graphs.  A module
+builds from an edge list; the others are subset or translation graphs.  Only
+``graphs.py`` constructs a ``Graph``, so its CSR form has one owner, and no
+module indexes a ``neighbors`` table, since adjacency has no second form.  A module
 imports only names it uses, and every ``Tolerances`` field is read by some
 check outside ``tolerances.py``.
 """
@@ -119,6 +121,27 @@ def test_only_petersen_builds_from_edges():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_graph"]
     assert not found, f"build_graph called outside families.petersen_graph at lines {found}"
+
+
+def test_only_graphs_constructs_graph():
+    # other modules build through graphs.from_sorted_pairs or graphs.build_graph
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "graphs.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Graph"]
+    assert not found, f"Graph constructed outside graphs.py: {', '.join(found)}"
+
+
+def test_no_neighbors_subscript():
+    # neighbors(v) is a method returning a CSR row; a subscripted neighbors
+    # would be a second adjacency form
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Subscript)
+             and getattr(node.value, "id", getattr(node.value, "attr", None)) == "neighbors"]
+    assert not found, f"neighbors subscripted: {', '.join(found)}"
 
 
 def test_connectivity_imports_nothing_from_qpoly():
