@@ -98,19 +98,18 @@ def shell_labels(nbr: np.ndarray, inside: np.ndarray) -> np.ndarray:
     ``inside[v, c]`` says whether v lies in shell c.  Entry [v, c] of the
     result is the smallest vertex of v's component in shell c, and n (the
     row count) off it.  Row n of the working array holds n, so a jump from an
-    off-shell entry stays off it.  A round gathers over the neighbor array,
-    rows times columns times the maximum degree.
+    off-shell entry stays off it.  A round gathers the labels at each
+    neighbor column in turn, rows times columns times the maximum degree.
     """
     n, width = inside.shape
     off_shell = np.where(inside, 0, n).astype(np.int32)
     labels = np.full((n + 1, width), n, dtype=np.int32)
     np.copyto(labels[:n], np.arange(n, dtype=np.int32)[:, None], where=inside)
-    gathered = np.empty((n, width), dtype=np.int32)
     while True:
         new = labels.copy()
         body = new[:n]
         for col in range(nbr.shape[1]):
-            np.minimum(body, np.take(labels, nbr[:, col], axis=0, out=gathered), out=body)
+            np.minimum(body, labels[nbr[:, col]], out=body)
         np.maximum(body, off_shell, out=body)
         new = np.take_along_axis(new, new, axis=0)
         if np.array_equal(new, labels):

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import memory
 from .graphs import Graph, build_graph
 
 HEADER = ">>graph6<<"
+SET_BITS = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)  # per six-bit value
 
 
 def _encode_size(n: int) -> str:
@@ -70,12 +72,16 @@ def read_graph6(line: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)} does not match n={n} (expected {need})")
-    codes = np.frombuffer(body.encode("utf-32-le"), dtype="<u4")  # one code point each
-    bad = np.flatnonzero((codes < 63) | (codes > 126))
-    if bad.size:
-        raise ValueError(f"invalid graph6 byte {body[bad[0]]!r}")
-    bits = np.unpackbits((codes - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
-    p = np.flatnonzero(bits[:n * (n - 1) // 2])  # bit j (j - 1) / 2 + i is the pair (i, j), i < j
+    codes = np.frombuffer(body.encode(), dtype=np.uint8)  # a non-ASCII character encodes above 126
+    if codes.min(initial=63) < 63 or codes.max(initial=126) > 126:
+        bad = np.flatnonzero((codes < 63) | (codes > 126))[0]  # the bytes before it are ASCII
+        raise ValueError(f"invalid graph6 byte {body[bad]!r}")
+    six = codes - 63
+    memory.require(f"graph6 decoding of {n} vertices",
+                   memory.graph6_bytes(need, int(np.take(SET_BITS, six).sum())))
+    p = np.flatnonzero(np.unpackbits(six))
+    p -= 2 * (p >> 3) + 2  # bit 2 + t of byte b (bits 0 and 1 are clear) is body bit 6 b + t
+    p = p[:np.searchsorted(p, n * (n - 1) // 2)]  # bit j (j - 1) / 2 + i is the pair (i, j), i < j
     j = np.searchsorted(np.arange(n) * np.arange(-1, n - 1) // 2, p, side="right") - 1
     return build_graph(n, np.column_stack((p - j * (j - 1) // 2, j)))
 

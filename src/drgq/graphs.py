@@ -26,10 +26,10 @@ import numpy as np
 
 from . import memory
 from .errors import DisconnectedGraphError, MathAssertionError
+from .memory import UNPACK_ENTRIES
 
 ISO_VERTEX_CAP = 64
 MAX_DISTANCE = 255  # distances are stored one byte per entry
-UNPACK_ENTRIES = 1 << 16  # level-mask entries the BFS unpacks at once, a row block
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,9 +248,9 @@ def bipartite_double(g: Graph) -> Graph:
 # the same-coloured neighbours of its anchor's image.  A colour means the
 # same in g and h, so an isomorphism preserves it.  Intended for small
 # components (census certification); refuses above the cap.  The census
-# certifies a block's components at once with ``isomorphic_components``: the
-# same anchored search, without colours or backtracking, in lockstep over
-# all of them, with ``are_isomorphic`` deciding only where it dead-ends.
+# certifies a block's components with ``isomorphic_components``: a degree
+# screen, then the same anchored search in lockstep over all of them, without
+# colours or backtracking, and ``are_isomorphic`` only where it dead-ends.
 # ---------------------------------------------------------------------------
 
 def _joint_colors(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
@@ -355,36 +355,29 @@ def isomorphic_components(g: Graph, members: np.ndarray, h: Graph) -> np.ndarray
     """Per row of ``members``, a (components, h.n) array of sorted vertex sets
     of g, whether the subgraph of g it induces is isomorphic to h.
 
-    The rows are relabelled into (components x size x degree) neighbour
-    arrays, and are_isomorphic's anchored search runs on all of them in
-    lockstep: the root goes to h's vertex 0, and each later vertex of a
-    breadth-first order to the first feasible neighbour of its anchor's
-    image, with no backtracking.  Every map found is verified edge by edge.
-    A row whose sorted degrees differ from h's, or whose search dead-ends,
-    goes to are_isomorphic, which stays the complete decider.  Raises
-    ValueError above the vertex cap, as are_isomorphic does.
+    The rows are relabelled through an index map into (components x size x
+    degree) neighbour arrays.  A row whose sorted in-component degrees
+    differ from h's is not isomorphic to it; on the others
+    are_isomorphic's anchored search runs in lockstep: the root goes to h's
+    vertex 0, and each later vertex of a breadth-first order to the first
+    feasible neighbour of its anchor's image, with no backtracking.  Every
+    map found is verified edge by edge.  A row whose search dead-ends goes
+    to are_isomorphic, which stays the complete decider.  Raises ValueError
+    above the vertex cap, as are_isomorphic does.
     """
     s = h.n
     if s > ISO_VERTEX_CAP:
         raise ValueError(f"isomorphism search refused above {ISO_VERTEX_CAP} vertices")
     comps = members.shape[0]
-    # a member's neighbours by position in its row: the keys c n + v increase
-    # along the flattened rows, so one searchsorted finds them all
-    offset = np.arange(comps)[:, None, None]
-    keys = (members + offset[:, :, 0] * g.n).ravel()
-    query = g.neighbor_array()[members]
-    query += offset * g.n
-    local = np.searchsorted(keys, query)
-    np.minimum(local, keys.size - 1, out=local)
-    inner = keys[local] == query
-    del query
-    inner &= local != np.arange(keys.size).reshape(comps, s, 1)  # the padding is v itself
-    local -= offset * s
-    local[~inner] = s
+    row = np.arange(comps)[:, None]
+    index = np.full((comps, g.n), s)  # a member's position in its row, s off it
+    index[row, members] = np.arange(s)
+    local = index[row[:, :, None], g.neighbor_array()[members]]
+    local[local == np.arange(s)[:, None]] = s  # the padding is the vertex itself
     local.sort(axis=2)  # each row's neighbours, then the padding s
     hdeg = np.diff(h.indptr)
     width = max(1, int(hdeg.max()))
-    same = (np.sort(inner.sum(axis=2), axis=1) == np.sort(hdeg)).all(axis=1)
+    same = (np.sort((local < s).sum(axis=2), axis=1) == np.sort(hdeg)).all(axis=1)
     local = local[same, :, :width]
     hnbr = np.vstack([h.neighbor_array(), np.full(width, s)])  # row s is padding
     hnbr[hnbr == np.arange(s + 1)[:, None]] = s  # h's neighbours padded with s, not v
@@ -427,8 +420,8 @@ def isomorphic_components(g: Graph, members: np.ndarray, h: Graph) -> np.ndarray
     if not _verify_mappings(local[alive], adj, perm[alive]).all():
         raise MathAssertionError("lockstep isomorphism search returned a map that is not an "
                                  "isomorphism")
-    result = np.zeros(comps, dtype=bool)
+    result = np.zeros(comps, dtype=bool)  # rows of other degrees stay False
     result[np.flatnonzero(same)[alive]] = True
-    for c in np.flatnonzero(~result).tolist():
+    for c in np.flatnonzero(same)[~alive].tolist():
         result[c] = are_isomorphic(induced_subgraph(g, members[c]).graph, h)[0]
     return result

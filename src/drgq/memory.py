@@ -1,11 +1,11 @@
 """Memory model: refuse an input before its n x n arrays are allocated.
 
 The distances hold an entry per vertex pair and the balanced-set factor up
-to one float per pair, so peak memory grows with n squared.  Two stages are
-modelled: the all-source BFS and the analysis after it.  The estimates below
-are checked against the memory available to the process before the arrays
-exist, so an oversize input ends with its estimate (exit 2) instead of
-swapping or being killed.
+to one float per pair, so peak memory grows with n squared.  Three stages
+are modelled: graph6 decoding, the all-source BFS and the analysis after
+it.  The estimates below are checked against the memory available to the
+process before the arrays exist, so an oversize input ends with its
+estimate (exit 2) instead of swapping or being killed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Optional
 FLOAT_TEMPORARIES = 1
 # the balanced-set sweep's batch buffers, sized by qpoly.BATCH_ENTRIES, not n
 BATCH_BUFFER_BYTES = 4 << 20
+UNPACK_ENTRIES = 1 << 16  # level-mask entries the BFS unpacks at once, a row block
 # cgroup v2, then v1; a container's limit may sit far below physical memory
 CGROUP_LIMIT_FILES = ("/sys/fs/cgroup/memory.max",
                       "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -50,11 +51,21 @@ def available_memory() -> int:
     return have if limit is None else min(have, limit)
 
 
+def graph6_bytes(length: int, ones: int) -> int:
+    """An upper bound on the peak bytes of decoding a graph6 body of
+    ``length`` bytes holding ``ones`` set bits into a graph, term by term."""
+    return (4 * length                       # the stripped line, its body, its bytes, the codes
+            + 8 * length                     # the codes unpacked, eight bits a byte
+            + 8 * 5 * ones                   # set-bit positions, pair columns and their temporaries
+            + 8 * 13 * ones                  # build_graph's copies, sort keys and masks
+            + (32 << 10))                    # Python objects and numpy scratch of any size
+
+
 def distance_bytes(n: int, entries: int) -> int:
     """An upper bound on the peak bytes of the all-source BFS over
     ``entries`` closed-neighborhood entries (2m + n), term by term."""
     return (n * n                            # the uint8 distances
-            + min(n * n, max(n, 1 << 16))    # a level mask's row block (graphs.UNPACK_ENTRIES)
+            + min(n * n, max(n, UNPACK_ENTRIES))  # a level mask's row block
             + 3 * 8 * n * -(-n // 64)        # packed reached, next round and gathered rows
             + 8 * (entries + 2 * n + 1)      # closed neighborhoods, offsets, chunk starts
             + 4 * 8 * n                      # the seed's index arrays
@@ -72,11 +83,12 @@ def analysis_bytes(n: int, d: int) -> int:
     bit-packed n x n arrays (n^2 / 2 bytes in all) fit inside the factor's
     8 n^2 term.  The census's column blocks are sized by
     connectivity.BLOCK_ENTRIES, not n: its shell labels, offset counts and
-    the isomorphism certificate's (components x size x degree) neighbour
-    positions and search arrays peak near 2 MiB on odd:4 to odd:6, inside
-    the share of the batch buffers and the factor (BATCH_BUFFER_BYTES +
-    8 n^2), which the balanced-set sweep has freed.  Distance classes and
-    factors are formed one at a time, and no dense projector is formed."""
+    the isomorphism certificate's index map, (components x size x degree)
+    neighbour positions and search arrays peak under 2.5 MB on odd:4 to
+    odd:6, inside the share of the batch buffers and the factor
+    (BATCH_BUFFER_BYTES + 8 n^2), which the balanced-set sweep has freed.
+    Distance classes and factors are formed one at a time, and no dense
+    projector is formed."""
     return n * n * (1 + 8 * FLOAT_TEMPORARIES) + BATCH_BUFFER_BYTES + 4 * 8 * (d + 1) ** 3
 
 

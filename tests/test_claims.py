@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgq import catalogue
+from drgq import catalogue, graphs
 from drgq.catalogue import (CATALOGUE, CHECK_NAMES, CLAIMS, PER_GRAPH_CHECKS, build_bundle,
                             make_bundle, run_catalogue)
 from drgq.cli import SUITES, build_parser, main
@@ -49,6 +49,16 @@ def test_front_ends_fail_together(monkeypatch, capsys, sweep, claim, suite, spec
     assert main(["analyze", spec]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["connectivity"][block][key] is False
+
+
+def test_catalogue_census_needs_no_backtracking(monkeypatch):
+    # the lockstep search maps every component the catalogue certifies, so
+    # the census never falls back on the backtracking search
+    asked, search = [], graphs.are_isomorphic
+    monkeypatch.setattr(graphs, "are_isomorphic", lambda g, h: (asked.append(g), search(g, h))[1])
+    rows = run_catalogue()
+    assert all(r.passed for r in rows) and any(r.check == "census" for r in rows)
+    assert asked == []
 
 
 def test_cli_choices_come_from_the_registry():

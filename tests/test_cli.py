@@ -6,11 +6,11 @@ import tracemalloc
 
 import pytest
 
-from drgq import catalogue, memory, qpoly
+from drgq import catalogue, graphs, memory, qpoly
 from drgq.cli import main
 from drgq.connectivity import odd_component_census
 from drgq.families import build_family, cycle_graph, petersen_graph
-from drgq.graph6 import save_graph6_file, write_graph6
+from drgq.graph6 import read_graph6, save_graph6_file, write_graph6
 from drgq.graphs import distance_data
 from drgq.intersection import check_distance_regular, classify
 from drgq.report import SECTIONS
@@ -310,6 +310,36 @@ class TestMemoryPreflight:
         assert code == 2 and out == ""
         assert f"{stage}: an estimated {estimate:,} bytes" in err
         assert f"the {budget:,} bytes" in err
+
+    def test_graph6_refused_with_estimate(self, capsys, monkeypatch, tmp_path):
+        # refused before decoding, naming the line; a written graph's set bits are its edges
+        g = build_family("hamming:4,2")
+        path = tmp_path / "x.g6"
+        save_graph6_file(str(path), [g])
+        estimate = memory.graph6_bytes(20, g.num_edges)  # 120 pair bits, 6 a byte
+        monkeypatch.setattr(memory, "physical_memory", lambda: estimate - 1)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert f"{path}:1: graph6 decoding of 16 vertices: an estimated {estimate:,} bytes" in err
+
+    @pytest.mark.parametrize("spec", ("odd:6", "johnson:12,6", "hamming:12,2"))
+    def test_graph6_model_covers_decode_peak(self, spec):
+        g = build_family(spec)
+        line = write_graph6(g)
+        tracemalloc.start()
+        try:
+            read_graph6(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= memory.graph6_bytes((g.n * (g.n - 1) // 2 + 5) // 6, g.num_edges)
+
+    def test_bfs_model_follows_unpack_block(self, monkeypatch):
+        # the BFS reads the constant the model counts, and n^2 exceeds both row blocks
+        assert graphs.UNPACK_ENTRIES is memory.UNPACK_ENTRIES
+        block, before = memory.UNPACK_ENTRIES, memory.distance_bytes(1000, 3000)
+        monkeypatch.setattr(memory, "UNPACK_ENTRIES", 4 * block)
+        assert memory.distance_bytes(1000, 3000) - before == 3 * block
 
     @pytest.mark.parametrize("spec", ("petersen", "odd:3", "hamming:8,2", "odd:5", "johnson:12,6"))
     def test_bfs_model_covers_measured_peak(self, spec):

@@ -56,6 +56,15 @@ def test_bad_byte_rejected():
         read_graph6("B\x07")
 
 
+@pytest.mark.parametrize("line, byte", [("Dg!", "!"), ("Dg\x7f", "\x7f"), ("Dg\u00e9", "\u00e9"),
+                                        ("K" + "\u00e9" * 11, "\u00e9")])
+def test_bad_body_byte_named(line, byte):
+    # the first character outside 63..126 is named, one outside ASCII too
+    with pytest.raises(ValueError) as exc:
+        read_graph6(line)
+    assert str(exc.value) == f"invalid graph6 byte {byte!r}"
+
+
 @pytest.mark.parametrize("line", ["~!!!", "~~!!!!!!"], ids=["4_byte", "8_byte"])
 def test_bad_size_prefix_byte_rejected(line):
     # every byte of a multi-byte size prefix lies in 63..126
