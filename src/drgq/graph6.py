@@ -4,7 +4,8 @@ Implements the published graph6 format exactly: the N(n) size prefix
 (1, 4, or 8 bytes), then the upper triangle of the adjacency matrix read
 column by column (bit (i,j) for j = 1..n-1, i = 0..j-1), packed big-endian
 six bits per printable byte with offset 63.  The optional ``>>graph6<<``
-header is accepted on input and available on output.
+header is accepted on input and available on output.  Decoding checks each
+byte once, with ``_codes``, and sorts the pairs' keys once for the CSR form.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import memory
-from .graphs import Graph, build_graph
+from .graphs import Graph, from_sorted_pairs
 
 HEADER = ">>graph6<<"
 SET_BITS = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)  # per six-bit value
@@ -32,14 +33,13 @@ def _encode_size(n: int) -> str:
     raise ValueError("vertex count too large for graph6")
 
 
-def _six_bits(chars: str):
-    """The six-bit value of each graph6 byte, in order; raises ValueError on
-    the first byte outside 63..126."""
-    for c in chars:
-        v = ord(c) - 63
-        if not 0 <= v <= 63:
-            raise ValueError(f"invalid graph6 byte {c!r}")
-        yield v
+def _codes(chars: str) -> np.ndarray:
+    """The six-bit code of each graph6 byte of ``chars``; raises ValueError
+    naming the first character outside 63..126."""
+    six = np.frombuffer(chars.encode(), dtype=np.uint8) - 63  # wraps: a byte outside 63..126 reads above 63
+    if six.max(initial=0) > 63:  # a non-ASCII character encodes above 126; the bytes before it are ASCII
+        raise ValueError(f"invalid graph6 byte {chars[np.flatnonzero(six > 63)[0]]!r}")
+    return six
 
 
 def _decode_size(s: str) -> tuple[int, int]:
@@ -49,10 +49,8 @@ def _decode_size(s: str) -> tuple[int, int]:
     used = 1 if s[0] != "~" else 4 if s[1:2] != "~" else 8
     if len(s) < used:
         raise ValueError("truncated graph6 size prefix")
-    n = 0
-    for v in _six_bits(s[used // 4:used]):  # the bytes after the one or two "~" markers
-        n = (n << 6) | v
-    return n, used
+    codes = _codes(s[used // 4:used])  # the bytes after the one or two "~" markers
+    return int(codes @ (1 << np.arange(6 * codes.size - 6, -1, -6))), used
 
 
 def write_graph6(g: Graph, header: bool = False) -> str:
@@ -72,18 +70,20 @@ def read_graph6(line: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)} does not match n={n} (expected {need})")
-    codes = np.frombuffer(body.encode(), dtype=np.uint8)  # a non-ASCII character encodes above 126
-    if codes.min(initial=63) < 63 or codes.max(initial=126) > 126:
-        bad = np.flatnonzero((codes < 63) | (codes > 126))[0]  # the bytes before it are ASCII
-        raise ValueError(f"invalid graph6 byte {body[bad]!r}")
-    six = codes - 63
+    six = _codes(body)
+    if not n:
+        raise ValueError("vertex count must be positive, got 0")
     memory.require(f"graph6 decoding of {n} vertices",
                    memory.graph6_bytes(need, int(np.take(SET_BITS, six).sum())))
     p = np.flatnonzero(np.unpackbits(six))
     p -= 2 * (p >> 3) + 2  # bit 2 + t of byte b (bits 0 and 1 are clear) is body bit 6 b + t
     p = p[:np.searchsorted(p, n * (n - 1) // 2)]  # bit j (j - 1) / 2 + i is the pair (i, j), i < j
     j = np.searchsorted(np.arange(n) * np.arange(-1, n - 1) // 2, p, side="right") - 1
-    return build_graph(n, np.column_stack((p - j * (j - 1) // 2, j)))
+    p -= j * (j - 1) // 2  # now the row i of each pair (i, j), i < j, each pair once
+    keys = np.concatenate([p * n + j, j * n + p])  # both directions
+    del p, j  # freed before the keys' quotients and remainders are allocated
+    keys.sort()
+    return from_sorted_pairs(n, *np.divmod(keys, n))
 
 
 def load_graph6_file(path: str) -> list[Graph]:

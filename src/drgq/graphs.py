@@ -93,12 +93,12 @@ def from_sorted_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from (u, v) pairs, an iterable or an m x 2 integer array,
-    symmetrizing and deduplicating.  Raises ValueError naming the first edge,
-    in input order, with an endpoint outside 0..n-1 or both endpoints equal."""
+    """Build a Graph from an iterable of (u, v) pairs, symmetrizing and
+    deduplicating.  Raises ValueError naming the first edge, in input order,
+    with an endpoint outside 0..n-1 or both endpoints equal."""
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
-    pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges) or np.empty((0, 2), np.intp))
+    pairs = np.array(list(edges) or np.empty((0, 2), np.intp))
     if pairs.dtype.kind not in "iu" or pairs.shape[1:] != (2,):
         raise ValueError("edges must be (u, v) pairs of integer vertex indices")
     u, v = pairs.T.astype(np.int64)
@@ -148,12 +148,10 @@ def flood(g: Graph, reached: np.ndarray, inside: Optional[np.ndarray] = None):
     must hold ``reached``), and yield each round's new bits in a buffer the
     next round reuses; a round costs (2m + n) words per column."""
     chunks = neighborhood_chunks(g)
-    nxt, gathered = np.empty_like(reached), np.empty_like(reached)
+    nxt = np.empty_like(reached)
     while True:
         for a, b, starts, members in chunks:
-            # clip never acts on vertices; it spares the copy of out that mode="raise" makes
-            block = np.take(reached, members, axis=0, out=gathered[:len(members)], mode="clip")
-            np.bitwise_or.reduceat(block, starts, axis=0, out=nxt[a:b])
+            np.bitwise_or.reduceat(np.take(reached, members, axis=0), starts, axis=0, out=nxt[a:b])
         if inside is not None:
             nxt &= inside
         nxt ^= reached  # v's own row is in the OR, so the new bits are left

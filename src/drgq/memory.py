@@ -53,11 +53,12 @@ def available_memory() -> int:
 
 def graph6_bytes(length: int, ones: int) -> int:
     """An upper bound on the peak bytes of decoding a graph6 body of
-    ``length`` bytes holding ``ones`` set bits into a graph, term by term."""
+    ``length`` bytes holding ``ones`` set bits into a graph, term by term; the
+    set bits bound the pairs, and n (n - 1) / 2 <= 6 ``length`` bounds n."""
     return (4 * length                       # the stripped line, its body, its bytes, the codes
-            + 8 * length                     # the codes unpacked, eight bits a byte
-            + 8 * 5 * ones                   # set-bit positions, pair columns and their temporaries
-            + 8 * 13 * ones                  # build_graph's copies, sort keys and masks
+            + max(8 * length + 8 * ones,     # the codes unpacked, eight bits a byte, and the set-bit positions
+                  6 * 8 * ones)              # rows, columns, keys' two halves and joined; quotients, remainders
+            + 4 * 8 * (1 + int((12 * length) ** 0.5))  # n-sized: column starts, bincount, cumsum, offsets
             + (32 << 10))                    # Python objects and numpy scratch of any size
 
 
@@ -66,7 +67,7 @@ def distance_bytes(n: int, entries: int) -> int:
     ``entries`` closed-neighborhood entries (2m + n), term by term."""
     return (n * n                            # the uint8 distances
             + min(n * n, max(n, UNPACK_ENTRIES))  # a level mask's row block
-            + 3 * 8 * n * -(-n // 64)        # packed reached, next round and gathered rows
+            + 3 * 8 * n * -(-n // 64)        # packed reached, next round and a chunk's gathered rows
             + 8 * (entries + 2 * n + 1)      # closed neighborhoods, offsets, chunk starts
             + 4 * 8 * n                      # the seed's index arrays
             + 512 * (2 * entries // n + 1)   # per chunk, a tuple and two headers (2 hold > n)

@@ -147,6 +147,13 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}:1: invalid graph6 byte '!'")
 
+    def test_zero_vertex_line_exits_usage(self, capsys, tmp_path):
+        path = tmp_path / "empty_graph.g6"
+        path.write_text("?\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:1: vertex count must be positive, got 0\n"
+
     def test_multi_graph_file_refused(self, capsys, tmp_path):
         path = tmp_path / "two.g6"
         save_graph6_file(str(path), [petersen_graph(), cycle_graph(7)])
@@ -333,6 +340,19 @@ class TestMemoryPreflight:
         finally:
             tracemalloc.stop()
         assert peak <= memory.graph6_bytes((g.n * (g.n - 1) // 2 + 5) // 6, g.num_edges)
+
+    @pytest.mark.parametrize("spec", ("odd:6", "johnson:12,6", "hamming:12,2"))
+    def test_graph6_model_is_tight(self, spec):
+        # the model counts the decoder's own arrays, not a pass it does not make
+        g = build_family(spec)
+        line = write_graph6(g)
+        tracemalloc.start()
+        try:
+            read_graph6(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert memory.graph6_bytes((g.n * (g.n - 1) // 2 + 5) // 6, g.num_edges) <= 1.5 * peak
 
     def test_bfs_model_follows_unpack_block(self, monkeypatch):
         # the BFS reads the constant the model counts, and n^2 exceeds both row blocks

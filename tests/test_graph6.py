@@ -65,11 +65,22 @@ def test_bad_body_byte_named(line, byte):
     assert str(exc.value) == f"invalid graph6 byte {byte!r}"
 
 
-@pytest.mark.parametrize("line", ["~!!!", "~~!!!!!!"], ids=["4_byte", "8_byte"])
-def test_bad_size_prefix_byte_rejected(line):
-    # every byte of a multi-byte size prefix lies in 63..126
-    with pytest.raises(ValueError, match="invalid graph6 byte '!'"):
+@pytest.mark.parametrize("line, byte", [("~!!!", "!"), ("~~!!!!!!", "!"), ("!", "!"),
+                                        ("\u00e9", "\u00e9"), ("~\u00e9??", "\u00e9")],
+                         ids=["4_byte", "8_byte", "1_byte", "1_byte_non_ascii", "4_byte_non_ascii"])
+def test_bad_size_prefix_byte_rejected(line, byte):
+    # every byte of a size prefix of any width lies in 63..126, and the first
+    # one outside is named, one outside ASCII too
+    with pytest.raises(ValueError) as exc:
         read_graph6(line)
+    assert str(exc.value) == f"invalid graph6 byte {byte!r}"
+
+
+def test_zero_vertices_rejected():
+    # "?" is a well-formed line for n = 0, which no graph has
+    with pytest.raises(ValueError) as exc:
+        read_graph6("?")
+    assert str(exc.value) == "vertex count must be positive, got 0"
 
 
 def test_file_roundtrip(tmp_path):

@@ -11,8 +11,9 @@ closed neighborhoods is written once, in ``graphs.flood``, and the
 regularity check sums fixed-width blocks without ``reduceat``.  An einsum of
 three or more operands follows an optimized contraction path, and only the
 two owners of the (d+1)^3 tensors write one: the spectra, which form E_i E_j,
-and the Krein oracle.  Of the family constructors only ``petersen_graph``
-builds from an edge list; the others are subset or translation graphs.  Only
+and the Krein oracle.  In the package only ``petersen_graph`` builds from an
+edge list: the other families are subset or translation graphs, and graph6
+hands its pairs to the CSR constructor.  Only
 ``graphs.py`` constructs a ``Graph``, so its CSR form has one owner, and no
 module indexes a ``neighbors`` table, since adjacency has no second form.  A module
 imports only names it uses, and every ``Tolerances`` field is read by some
@@ -112,15 +113,17 @@ def test_multi_operand_einsum_only_in_tensor_owners():
 
 
 def test_only_petersen_builds_from_edges():
-    # the translation families share one array builder; an edge-list fork
-    # would bring back the per-word loops
-    tree = ast.parse((Path(drgq.__file__).parent / "families.py").read_text(encoding="utf-8"))
-    found = [node.lineno
-             for top in tree.body if getattr(top, "name", None) != "petersen_graph"
+    # the translation families share one array builder, and graph6 pairs are
+    # unique with i < j, so they go straight to the CSR constructor; an
+    # edge-list fork would bring back the per-word loops or a second check
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+             if (path.name, getattr(top, "name", None)) != ("families.py", "petersen_graph")
              for node in ast.walk(top)
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_graph"]
-    assert not found, f"build_graph called outside families.petersen_graph at lines {found}"
+    assert not found, f"build_graph called outside families.petersen_graph: {', '.join(found)}"
 
 
 def test_only_graphs_constructs_graph():
